@@ -242,19 +242,10 @@ def _analyze_via_service(args) -> int:
     """The ``analyze --workers/--cache-dir`` path: one-request batch."""
     from .service import (
         DependenceService,
-        ServiceConfig,
         loop_answer_to_dict,
         request_for_file,
     )
-    workers = args.workers if args.workers is not None else 4
-    config = ServiceConfig(workers=workers, executor=args.executor,
-                           cache_dir=args.cache_dir,
-                           cache_l2=_cache_l2(args),
-                           shard_timeout_s=args.timeout,
-                           incremental=not args.no_incremental,
-                           mode="queue" if args.queue else "shard",
-                           prepared_cache_size=args.prepared_cache_size)
-    with DependenceService(config) as service:
+    with DependenceService(_service_config(args)) as service:
         answers = service.analyze(request_for_file(
             args.file, entry=args.entry, system=args.system))
         snapshot = service.snapshot()
@@ -360,6 +351,28 @@ def _cache_l2(args) -> Optional[str]:
             or os.environ.get("REPRO_CACHE_L2"))
 
 
+#: Pool size when ``--workers`` is not given.  The option itself
+#: defaults to ``None`` so that ``analyze`` can tell "not given" (the
+#: in-process path) from an explicit count (the serving layer).
+DEFAULT_WORKERS = 4
+
+
+def _service_config(args):
+    """The :class:`ServiceConfig` described by the shared service
+    options (see :func:`_service_options`)."""
+    from .service import ServiceConfig
+    return ServiceConfig(
+        workers=(DEFAULT_WORKERS if args.workers is None
+                 else args.workers),
+        executor=args.executor,
+        cache_dir=args.cache_dir,
+        cache_l2=_cache_l2(args),
+        task_timeout_s=args.timeout,
+        incremental=not args.no_incremental,
+        prepared_cache_size=args.prepared_cache_size,
+        idle_ttl_s=getattr(args, "idle_ttl", None))
+
+
 def _requests_for_targets(command: str, args) -> Optional[list]:
     """Resolve target names (workloads and/or .ir files) to requests;
     ``None`` after printing a diagnostic on bad input."""
@@ -459,7 +472,6 @@ def _cmd_batch(args) -> int:
     """Serve many workloads through the batched query service."""
     from .service import (
         DependenceService,
-        ServiceConfig,
         format_report,
         loop_answer_to_dict,
     )
@@ -474,15 +486,8 @@ def _cmd_batch(args) -> int:
         if status is not None:
             return status
 
-    config = ServiceConfig(workers=args.workers, executor=args.executor,
-                           cache_dir=args.cache_dir,
-                           cache_l2=_cache_l2(args),
-                           shard_timeout_s=args.timeout,
-                           incremental=not args.no_incremental,
-                           mode="queue" if args.queue else "shard",
-                           prepared_cache_size=args.prepared_cache_size)
     started = time.perf_counter()
-    with DependenceService(config) as service:
+    with DependenceService(_service_config(args)) as service:
         batch = service.run_batch(requests)
     wall_s = time.perf_counter() - started
 
@@ -510,17 +515,10 @@ def _cmd_batch(args) -> int:
 def cmd_serve(args) -> int:
     """Run the resident analysis daemon until a shutdown drains it."""
     from .daemon import AnalysisDaemon, DaemonConfig
-    from .service import ServiceConfig
 
     tracer = _start_trace(args)
     addr = args.addr or _default_daemon_addr()
-    service = ServiceConfig(workers=args.workers, executor=args.executor,
-                            cache_dir=args.cache_dir,
-                            cache_l2=_cache_l2(args),
-                            shard_timeout_s=args.timeout,
-                            incremental=not args.no_incremental,
-                            prepared_cache_size=args.prepared_cache_size,
-                            idle_ttl_s=args.idle_ttl)
+    service = _service_config(args)
     daemon = AnalysisDaemon(DaemonConfig(
         addr=addr, service=service,
         max_queue_depth=args.max_queue_depth,
@@ -533,7 +531,7 @@ def cmd_serve(args) -> int:
         flight_dump_path=args.flight_dump,
         log_json=args.log_json))
     print(f"repro daemon: serving at {addr} "
-          f"({args.workers} workers, {args.executor} executor)",
+          f"({service.workers} workers, {service.executor} executor)",
           flush=True)
     if args.metrics_port is not None:
         print(f"repro daemon: metrics on http://127.0.0.1:"
@@ -742,6 +740,45 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _service_options() -> argparse.ArgumentParser:
+    """The options of every command that builds a service
+    (``analyze``, ``batch``, ``serve``), as an argparse parent parser;
+    :func:`_service_config` turns them into a :class:`ServiceConfig`."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--workers", type=int, default=None,
+                        help=f"pool workers (default {DEFAULT_WORKERS}); "
+                             f"on analyze, giving it routes the request "
+                             f"through the serving layer")
+    parent.add_argument("--executor",
+                        choices=("process", "thread", "inline"),
+                        default="process")
+    parent.add_argument("--cache-dir", default=None,
+                        help="persistent result-cache directory (on "
+                             "analyze, implies the serving layer)")
+    parent.add_argument("--cache-l2", default=None, metavar="URL",
+                        help="remote L2 cache tier (redis://host:port; "
+                             "the REPRO_CACHE_L2 environment variable "
+                             "works too); requires --cache-dir")
+    parent.add_argument("--timeout", type=float, default=None,
+                        help="per-task deadline in seconds")
+    parent.add_argument("--no-incremental", action="store_true",
+                        help="disable footprint-based incremental reuse "
+                             "of cached answers across module edits")
+    parent.add_argument("--prepared-cache-size", type=int, default=None,
+                        metavar="N",
+                        help="worker-resident prepared-module LRU "
+                             "capacity")
+    parent.add_argument("--trace", default=None, metavar="PATH",
+                        help="record a span timeline (Chrome trace-event "
+                             "format; JSONL when PATH ends in .jsonl); "
+                             "serve writes it on exit, all sessions in "
+                             "one tree")
+    parent.add_argument("--trace-sample", type=int, default=1,
+                        metavar="N",
+                        help="record every N-th query subtree (default 1)")
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -771,7 +808,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "closure compilation)")
     p_prof.set_defaults(func=cmd_profile)
 
-    p_an = sub.add_parser("analyze", help="hot-loop dependence coverage")
+    service_options = _service_options()
+
+    p_an = sub.add_parser("analyze", help="hot-loop dependence coverage",
+                          parents=[service_options])
     p_an.add_argument("file")
     p_an.add_argument("--entry", default="main")
     p_an.add_argument("--system", choices=sorted(SYSTEM_BUILDERS),
@@ -782,51 +822,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --deps, also list removed dependences")
     p_an.add_argument("--json", action="store_true",
                       help="emit the service's LoopAnswer schema")
-    p_an.add_argument("--workers", type=int, default=None,
-                      help="route through the serving layer with this "
-                           "many pool workers")
-    p_an.add_argument("--cache-dir", default=None,
-                      help="persistent result-cache directory "
-                           "(implies the serving layer)")
-    p_an.add_argument("--cache-l2", default=None, metavar="URL",
-                      help="remote L2 cache tier (redis://host:port; "
-                           "the REPRO_CACHE_L2 environment variable "
-                           "works too); requires --cache-dir")
-    p_an.add_argument("--executor",
-                      choices=("process", "thread", "inline"),
-                      default="process")
-    p_an.add_argument("--timeout", type=float, default=None,
-                      help="per-shard deadline in seconds")
-    p_an.add_argument("--no-incremental", action="store_true",
-                      help="disable footprint-based incremental reuse "
-                           "of cached answers across module edits")
-    p_an.add_argument("--queue", action=argparse.BooleanOptionalAction,
-                      default=True,
-                      help="global loop-granular work queue "
-                           "(--no-queue falls back to per-request "
-                           "shards)")
-    p_an.add_argument("--prepared-cache-size", type=int, default=None,
-                      metavar="N",
-                      help="worker-resident prepared-module LRU "
-                           "capacity (queue mode)")
-    p_an.add_argument("--trace", default=None, metavar="PATH",
-                      help="record a span timeline (Chrome trace-event "
-                           "format; JSONL when PATH ends in .jsonl)")
-    p_an.add_argument("--trace-sample", type=int, default=1, metavar="N",
-                      help="record every N-th query subtree (default 1)")
     p_an.add_argument("--no-compile", action="store_true",
                       help="force the tree-walking interpreter (skip "
                            "closure compilation)")
-    p_an.add_argument("--no-cost-model", action="store_true",
-                      help="schedule by the static LPT estimate "
-                           "instead of measured-duration predictions "
-                           "(the REPRO_NO_COST_MODEL environment "
-                           "variable works too)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_batch = sub.add_parser(
         "batch",
-        help="batched, parallel, cached dependence-query service")
+        help="batched, parallel, cached dependence-query service",
+        parents=[service_options])
     p_batch.add_argument("targets", nargs="*",
                          help="workload names (see repro.workloads) "
                               "and/or .ir files")
@@ -836,41 +840,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="entry function for .ir file targets")
     p_batch.add_argument("--system", choices=sorted(SYSTEM_BUILDERS),
                          default="scaf")
-    p_batch.add_argument("--workers", type=int, default=4)
-    p_batch.add_argument("--executor",
-                         choices=("process", "thread", "inline"),
-                         default="process")
-    p_batch.add_argument("--cache-dir", default=None,
-                         help="persistent result-cache directory")
-    p_batch.add_argument("--cache-l2", default=None, metavar="URL",
-                         help="remote L2 cache tier (redis://host:port; "
-                              "the REPRO_CACHE_L2 environment variable "
-                              "works too); requires --cache-dir")
-    p_batch.add_argument("--timeout", type=float, default=None,
-                         help="per-shard deadline in seconds")
     p_batch.add_argument("--json", action="store_true",
                          help="emit answers + telemetry as JSON")
-    p_batch.add_argument("--no-incremental", action="store_true",
-                         help="disable footprint-based incremental "
-                              "reuse of cached answers across edits")
-    p_batch.add_argument("--queue",
-                         action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="global loop-granular work queue "
-                              "(--no-queue falls back to per-request "
-                              "shards)")
-    p_batch.add_argument("--prepared-cache-size", type=int,
-                         default=None, metavar="N",
-                         help="worker-resident prepared-module LRU "
-                              "capacity (queue mode)")
-    p_batch.add_argument("--trace", default=None, metavar="PATH",
-                         help="record a span timeline (Chrome "
-                              "trace-event format; JSONL when PATH "
-                              "ends in .jsonl)")
-    p_batch.add_argument("--trace-sample", type=int, default=1,
-                         metavar="N",
-                         help="record every N-th query subtree "
-                              "(default 1)")
     p_batch.add_argument("--daemon", default=None, metavar="ADDR",
                          help="reuse a running `repro serve` at ADDR "
                               "(unix:/path.sock or host:port; the "
@@ -880,40 +851,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--no-compile", action="store_true",
                          help="force the tree-walking interpreter "
                               "(skip closure compilation)")
-    p_batch.add_argument("--no-cost-model", action="store_true",
-                         help="schedule by the static LPT estimate "
-                              "instead of measured-duration "
-                              "predictions (the REPRO_NO_COST_MODEL "
-                              "environment variable works too)")
     p_batch.set_defaults(func=cmd_batch)
 
     p_serve = sub.add_parser(
         "serve",
         help="resident analysis daemon: persistent worker fleet "
-             "behind a socket")
+             "behind a socket",
+        parents=[service_options])
     p_serve.add_argument("--addr", default=None,
                          help="listen address (unix:/path.sock or "
                               "host:port; default unix socket in cwd)")
-    p_serve.add_argument("--workers", type=int, default=4)
-    p_serve.add_argument("--executor",
-                         choices=("process", "thread", "inline"),
-                         default="process")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="persistent result-cache directory")
-    p_serve.add_argument("--cache-l2", default=None, metavar="URL",
-                         help="remote L2 cache tier shared by the "
-                              "daemon fleet (redis://host:port; the "
-                              "REPRO_CACHE_L2 environment variable "
-                              "works too); requires --cache-dir")
-    p_serve.add_argument("--timeout", type=float, default=None,
-                         help="per-shard deadline in seconds")
-    p_serve.add_argument("--no-incremental", action="store_true",
-                         help="disable footprint-based incremental "
-                              "reuse of cached answers across edits")
-    p_serve.add_argument("--prepared-cache-size", type=int,
-                         default=None, metavar="N",
-                         help="worker-resident prepared-module LRU "
-                              "capacity")
     p_serve.add_argument("--idle-ttl", type=float, default=None,
                          metavar="SECONDS",
                          help="tear idle workers down after this long "
@@ -926,11 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--drain-timeout", type=float, default=60.0,
                          help="seconds shutdown waits for in-flight "
                               "jobs")
-    p_serve.add_argument("--trace", default=None, metavar="PATH",
-                         help="record the daemon's span timeline on "
-                              "exit (all sessions, one tree)")
-    p_serve.add_argument("--trace-sample", type=int, default=1,
-                         metavar="N")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          metavar="PORT",
                          help="serve GET /metrics (Prometheus text) "
@@ -958,11 +900,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-compile", action="store_true",
                          help="force the tree-walking interpreter "
                               "(skip closure compilation)")
-    p_serve.add_argument("--no-cost-model", action="store_true",
-                         help="schedule by the static LPT estimate "
-                              "instead of measured-duration "
-                              "predictions (the REPRO_NO_COST_MODEL "
-                              "environment variable works too)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
@@ -1037,10 +974,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The env var (not set_compilation_enabled) so the choice
         # survives into ProcessPoolExecutor workers.
         os.environ["REPRO_NO_COMPILE"] = "1"
-    if getattr(args, "no_cost_model", False):
-        # Same env-var route: the scheduler reads it at construction,
-        # wherever the service gets built (in-process or daemon).
-        os.environ["REPRO_NO_COST_MODEL"] = "1"
     return args.func(args)
 
 

@@ -38,6 +38,12 @@ class DaemonError(RuntimeError):
     def shutting_down(self) -> bool:
         return self.code == protocol.ERR_SHUTTING_DOWN
 
+    @property
+    def too_large(self) -> bool:
+        """The request frame exceeded the daemon's
+        :data:`~repro.daemon.protocol.MAX_FRAME_BYTES`."""
+        return self.code == protocol.ERR_TOO_LARGE
+
 
 class DaemonClient:
     """One session against a running ``repro serve``."""

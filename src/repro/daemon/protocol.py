@@ -12,9 +12,10 @@ Responses always carry ``"ok"``.  Failures are typed::
 
 so clients can distinguish load shedding (``BUSY``: retry later, the
 admission window or global queue is full) from a draining server
-(``SHUTTING_DOWN``), malformed input (``BAD_REQUEST``), a stale job id
-(``UNKNOWN_JOB``), an unsupported verb (``UNKNOWN_VERB``), and server
-bugs (``INTERNAL``).
+(``SHUTTING_DOWN``), malformed input (``BAD_REQUEST``), a frame longer
+than :data:`MAX_FRAME_BYTES` (``TOO_LARGE``: the daemon discards the
+line and keeps the session), a stale job id (``UNKNOWN_JOB``), an
+unsupported verb (``UNKNOWN_VERB``), and server bugs (``INTERNAL``).
 
 Addresses are ``unix:/path/to.sock`` or ``host:port``; a bare path
 (anything containing ``/`` or ending in ``.sock``) is taken as a Unix
@@ -49,9 +50,15 @@ PROTOCOL_VERSION = 2
 #: Default rendezvous for ``repro serve`` / ``repro submit``.
 DEFAULT_ADDR = "unix:.repro-daemon.sock"
 
+#: Longest request frame the daemon reads, not counting its newline;
+#: a longer one is answered with ``TOO_LARGE``.  Two copies of the 16
+#: workloads in one ``submit`` come to about 110 KB.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
 ERR_BUSY = "BUSY"
 ERR_SHUTTING_DOWN = "SHUTTING_DOWN"
 ERR_BAD_REQUEST = "BAD_REQUEST"
+ERR_TOO_LARGE = "TOO_LARGE"
 ERR_UNKNOWN_JOB = "UNKNOWN_JOB"
 ERR_UNKNOWN_VERB = "UNKNOWN_VERB"
 ERR_INTERNAL = "INTERNAL"

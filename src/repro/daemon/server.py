@@ -103,6 +103,30 @@ class DaemonConfig:
     log_json: bool = False
 
 
+async def _read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next newline-terminated frame, ``b""`` at EOF, or ``None``
+    for a frame longer than the reader's limit.
+
+    ``StreamReader.readline`` raises on such a line and may leave its
+    tail in the stream, where it would be read as the next frame.
+    This reads on through the newline and discards the whole line, so
+    the session can answer it and keep serving.
+    """
+    too_large = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return b"" if too_large else exc.partial  # EOF
+        except asyncio.LimitOverrunError as exc:
+            # Nothing was consumed: drop what is buffered (up to the
+            # newline when it is there) and keep reading.
+            too_large = True
+            await reader.readexactly(exc.consumed)
+            continue
+        return None if too_large else line
+
+
 class _Job:
     """One submitted batch and its observable lifecycle."""
 
@@ -215,12 +239,14 @@ class AnalysisDaemon:
             if os.path.exists(target):
                 os.unlink(target)  # stale socket from a dead daemon
             self._server = await asyncio.start_unix_server(
-                self._handle_session, path=target)
+                self._handle_session, path=target,
+                limit=protocol.MAX_FRAME_BYTES)
             self.bound_addr = f"unix:{target}"
         else:
             host, port = target
             self._server = await asyncio.start_server(
-                self._handle_session, host=host, port=port)
+                self._handle_session, host=host, port=port,
+                limit=protocol.MAX_FRAME_BYTES)
             bound = self._server.sockets[0].getsockname()
             self.bound_addr = f"{bound[0]}:{bound[1]}"
         if self.config.metrics_port is not None:
@@ -264,7 +290,13 @@ class AnalysisDaemon:
         self._session_jobs[session] = set()
         try:
             while True:
-                line = await reader.readline()
+                line = await _read_frame(reader)
+                if line is None:
+                    await self._send(writer, protocol.error(
+                        protocol.ERR_TOO_LARGE,
+                        f"frame longer than {protocol.MAX_FRAME_BYTES} "
+                        f"bytes"))
+                    continue
                 if not line:
                     break  # client went away
                 try:
@@ -573,14 +605,10 @@ class AnalysisDaemon:
         doc = asdict(snap)
         doc["cache_hit_rate"] = snap.cache_hit_rate
         doc["prepared_hit_rate"] = snap.prepared_hit_rate
-        doc["prepared_affinity_hit_rate"] = snap.prepared_affinity_hit_rate
         doc["worker_utilization"] = snap.worker_utilization
         active = sum(1 for j in self._jobs.values()
                      if j.status == JOB_RUNNING)
-        cost_model = getattr(self.service.scheduler, "cost_model", None)
         return {
-            "cost_model": (cost_model.stats()
-                           if cost_model is not None else {}),
             "daemon": {
                 "addr": self.bound_addr,
                 "pid": os.getpid(),

@@ -448,22 +448,6 @@ def render_top(stats: Mapping) -> str:
                   f"({tel.get('l2_errors', 0)} errors)")
     lines.append(cache)
 
-    aff_hits = tel.get("prepared_affinity_hits", 0)
-    aff_misses = tel.get("prepared_affinity_misses", 0)
-    cm = stats.get("cost_model", {})
-    if aff_hits or aff_misses or cm.get("observations"):
-        placements = aff_hits + aff_misses
-        rate = aff_hits / placements if placements else 0.0
-        line = (f"costmodel affinity {_pct(rate)} "
-                f"({aff_hits}/{placements} resident, "
-                f"{tel.get('prepared_affinity_steals', 0)} steals)  "
-                f"rosters predicted {tel.get('roster_predictions', 0)}")
-        err = tel.get("prediction_error", {})
-        if err.get("count"):
-            line += (f"  pred err p50 {_ms(err.get('p50_s', 0.0))} "
-                     f"p95 {_ms(err.get('p95_s', 0.0))}")
-        lines.append(line)
-
     if window:
         counters = window.get("counters", {})
         ok_rate = counters.get("tasks{outcome=ok}", {}).get("rate", 0.0)

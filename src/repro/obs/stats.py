@@ -29,7 +29,7 @@ def _category_summary(spans: List[Mapping]) -> Dict[str, Dict]:
 
 def _prepared_cache_summary(spans: List[Mapping]) -> Dict[str, int]:
     """Worker prepared-module cache traffic, recomputed from the
-    ``loop_task`` spans (queue mode stamps each with prepared=hit/
+    ``loop_task`` spans (the worker stamps each with prepared=hit/
     miss), so ``repro stats`` shows the hit rate from the artifact
     alone."""
     hits = misses = 0

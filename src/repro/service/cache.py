@@ -441,7 +441,7 @@ class ResultCache:
 
         self._with_retry(_write)
 
-    # -- measured task durations (predicted-wall-time LPT feedstock) ---------
+    # -- measured task durations ---------------------------------------------
 
     #: Exponential blend weight for repeated duration measurements of
     #: the same (version_key, loop): new = α·measured + (1-α)·old.
@@ -500,7 +500,7 @@ class ResultCache:
 
     def lookup_durations_many(self, lineage_keys: Sequence[str]
                               ) -> Dict[str, Dict[str, float]]:
-        """Batched :meth:`lookup_durations`: per-loop predictions for
+        """Batched :meth:`lookup_durations`: per-loop durations for
         every lineage in ``lineage_keys`` from ONE parameterized query.
         A batch of N requests costs one sqlite round trip, not N (and
         not N×loops).  Rows arrive oldest-first so the dict overwrite

@@ -2,8 +2,8 @@
 
 Before the resident daemon existed, the global loop-granular work
 queue lived inside :meth:`BatchScheduler.run_batch`: the heap, the
-bounded in-flight window, and the dispatch loop were all local state
-of one synchronous call, so the worker fleet's warm state (the
+in-flight bookkeeping, and the dispatch loop were all local state of
+one synchronous call, so the worker fleet's warm state (the
 prepared-module LRU in each worker) could only pay off *within* a
 batch.  :class:`WorkEngine` lifts exactly that machinery into an
 object with its own lifetime:
@@ -11,15 +11,19 @@ object with its own lifetime:
 - one **priority heap** shared by every in-flight batch (discovery
   tasks first, then longest-processing-time-first by *instruction-
   weighted* profiled time fraction — see :func:`lpt_weight`);
-- one **dispatcher thread** that pulls tickets behind the bounded
-  in-flight window, submits them to the executor, and delivers each
-  outcome (``ok`` / ``failure`` / ``timeout`` / ``cancelled``) back
-  to the batch that enqueued it through a per-ticket callback.  Every
-  delivery runs on the dispatcher thread, so batch bookkeeping (the
-  outstanding-task countdown, discovery fan-out) needs no locks;
-- the **executor** (process / thread / inline pool), built lazily,
-  rebuilt in place after a worker crash (the rebuild-mid-drain
-  behaviour the per-batch drain loop pioneered), torn down after
+- one **lane per worker** (:class:`_Slot`): a single-worker executor
+  holding at most one task at a time, so the number of tasks in
+  flight never exceeds ``workers`` and an idle lane always takes the
+  best queued ticket;
+- one **dispatcher thread** that pops tickets onto idle lanes and
+  delivers each outcome (``ok`` / ``failure`` / ``timeout`` /
+  ``cancelled``) back to the batch that enqueued it through a
+  per-ticket callback.  Every delivery runs on the dispatcher thread,
+  so batch bookkeeping (the outstanding-task countdown, discovery
+  fan-out) needs no locks;
+- **per-lane rebuilds**: a task past ``task_timeout_s`` or whose
+  worker died is delivered as ``timeout`` / ``failure`` and only its
+  own lane gets a fresh worker; the fleet is torn down after
   ``idle_ttl_s`` of queue silence (the daemon's worker scale-down)
   and lazily rebuilt on the next ticket;
 - **cancellation by client tag**: queued tickets of a disconnected
@@ -41,7 +45,7 @@ import heapq
 import itertools
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..interp import compilation_enabled, set_compilation_enabled
@@ -59,7 +63,7 @@ class _InlineExecutor:
         except Exception as exc:  # mirror pool behaviour for task errors
             future.set_exception(exc)
         # KeyboardInterrupt/SystemExit propagate: turning them into a
-        # future exception would swallow a user's ctrl-C as a shard
+        # future exception would swallow a user's ctrl-C as a task
         # degradation.
         return future
 
@@ -76,14 +80,15 @@ def _pool_worker_init(compile_enabled: bool) -> None:
     set_compilation_enabled(compile_enabled)
 
 
-def _make_executor(kind: str, workers: int):
-    if kind == "inline" or workers <= 0:
+def _make_executor(kind: str):
+    """One lane's single-worker executor."""
+    if kind == "inline":
         return _InlineExecutor()
     if kind == "thread":
-        return cf.ThreadPoolExecutor(max_workers=workers)
+        return cf.ThreadPoolExecutor(max_workers=1)
     if kind == "process":
         return cf.ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=1,
             initializer=_pool_worker_init,
             initargs=(compilation_enabled(),))
     raise ValueError(f"unknown executor kind: {kind!r}")
@@ -115,30 +120,18 @@ class Ticket:
 
     ``deliver(ticket, outcome, result, error)`` is invoked exactly
     once, on the dispatcher thread, with outcome one of ``ok`` /
-    ``failure`` / ``timeout`` / ``cancelled`` / ``fatal``.
-
-    ``weight`` is whatever the scheduler ranks by — the static
-    ``lpt_weight`` estimate, or (cost model on) predicted wall
-    seconds, flagged by ``predicted``.  ``predicted_setup`` is the
-    predicted prepared-module build cost the engine charges when
-    placing the task on a worker slot whose prepared-LRU does not
-    hold the module.  ``kind`` overrides the discovery-first /
-    loop-second band (the scheduler deprioritizes predicted-roster
-    drift-catch discoveries this way).
+    ``failure`` / ``timeout`` / ``cancelled`` / ``fatal``.  ``weight``
+    is the task's :func:`lpt_weight` (0 for discovery tasks).
     """
 
     __slots__ = ("task", "key", "weight", "client", "enqueued_at",
-                 "deliver", "trace_parent", "submitted", "span",
-                 "kind", "predicted", "predicted_setup", "order",
+                 "deliver", "trace_parent", "submitted", "span", "order",
                  "slot")
 
     def __init__(self, task: LoopTask, key: str, weight: float,
                  deliver: Callable, client: str = "",
                  trace_parent: Optional[str] = None,
-                 enqueued_at: Optional[float] = None,
-                 kind: Optional[int] = None,
-                 predicted: bool = False,
-                 predicted_setup: float = 0.0):
+                 enqueued_at: Optional[float] = None):
         self.task = task
         self.key = key
         self.weight = weight
@@ -149,38 +142,29 @@ class Ticket:
                             else enqueued_at)
         self.submitted = 0.0
         self.span = None
-        self.kind = kind
-        self.predicted = predicted
-        self.predicted_setup = predicted_setup
         #: Deterministic equal-weight tie-break: (module key, loop
         #: name).  Both derive from content hashes, so the queue order
         #: is stable across interpreter hash seeds — arrival order and
         #: dict iteration no longer leak into scheduling.
         self.order: Tuple[str, str] = (key, getattr(task, "loop", None)
                                        or "")
-        #: Worker slot the dispatcher placed this ticket on (engine
+        #: Worker lane the dispatcher placed this ticket on (engine
         #: internal, dispatcher-thread only).
         self.slot = None
 
 
 class _Slot:
-    """One worker's dispatch lane plus its placement model.
+    """One worker's dispatch lane.
 
-    Each slot owns a single-worker executor, so "submitted to slot
-    *i*" means "will run on worker *i*" — the targeted hand-out that a
-    shared pool cannot express.  ``resident`` mirrors the worker's
-    prepared-module LRU from the dispatch stream: exact for process
-    executors (one process, serial execution), conservative for thread
-    executors (the real prepared cache is process-global, so true
-    hit-rate can only be better than modeled).
+    Each slot owns a single-worker executor and runs at most one task
+    at a time, so a crash or timeout rebuilds exactly the lane that
+    held the failed task.
     """
 
-    __slots__ = ("index", "executor", "resident", "inflight")
+    __slots__ = ("executor", "inflight")
 
-    def __init__(self, index: int, executor):
-        self.index = index
+    def __init__(self, executor):
         self.executor = executor
-        self.resident: "OrderedDict[str, bool]" = OrderedDict()
         self.inflight = 0
 
 
@@ -191,14 +175,12 @@ class WorkEngine:
     runs — and, through the daemon, by every connected client session.
     """
 
-    def __init__(self, executor_kind: str, workers: int,
-                 max_pending: int, telemetry,
+    def __init__(self, executor_kind: str, workers: int, telemetry,
                  loop_runner: Callable,
                  task_timeout_s: Optional[float] = None,
                  idle_ttl_s: Optional[float] = None):
         self.executor_kind = executor_kind
         self.workers = workers
-        self.max_pending = max_pending
         self.telemetry = telemetry
         self.task_timeout_s = task_timeout_s
         #: Seconds of queue silence after which the worker fleet is
@@ -213,13 +195,8 @@ class WorkEngine:
         self._done: deque = deque()
         self._cancelled_q: deque = deque()
         self._thread: Optional[threading.Thread] = None
-        self._executor = None
-        #: Per-worker dispatch lanes (queue mode), built lazily like
-        #: the legacy shared executor.
+        #: Per-worker dispatch lanes, built lazily on the first ticket.
         self._slots: Optional[List[_Slot]] = None
-        #: Queued tickets carrying a setup charge; 0 means placement
-        #: degenerates to a plain priority pop (static fast path).
-        self._charged = 0
         self._closed = False
         self._fatal: Optional[BaseException] = None
         self._idle_since = time.perf_counter()
@@ -229,60 +206,30 @@ class WorkEngine:
             return 1
         return self.workers
 
-    # -- executor lifetime (shared with the legacy shard path) ---------------
-
-    def executor_or_none(self):
-        return self._executor
-
-    def set_executor(self, executor) -> None:
-        """Legacy hook: the shard-mode drain loop still owns its own
-        rebuild-on-crash decisions and assigns through here."""
-        self._executor = executor
-
-    def ensure_executor(self):
-        if self._executor is None:
-            self._executor = _make_executor(self.executor_kind,
-                                            self.workers)
-        return self._executor
+    # -- fleet lifetime -------------------------------------------------------
 
     def recycle(self) -> int:
         """Gracefully replace the worker fleet (the daemon's ``recycle``
-        verb): reuses the rebuild-mid-drain machinery a worker crash
-        triggers, minus the crash.  In-flight tasks finish on the old
-        pool; everything still queued dispatches onto a fresh one.
-        Returns the number of tasks left in flight on the old fleet."""
+        verb): reuses the per-lane rebuild a worker crash triggers,
+        minus the crash.  In-flight tasks finish on the old workers;
+        everything still queued dispatches onto fresh ones.  Returns
+        the number of tasks left in flight on the old fleet."""
         with self._cond:
             if self._closed:
                 return 0
-            if self._executor is not None:
-                self._swap_executor()
-            if self._slots is not None:
-                for slot in self._slots:
-                    self._swap_slot(slot)
+            for slot in self._slots or ():
+                self._swap_slot(slot)
             self.telemetry.count("fleet_rebuilds")
             return len(self._inflight)
 
-    def _swap_executor(self) -> None:
-        try:
-            if self._executor is not None:
-                self._executor.shutdown(wait=False)
-        except Exception:
-            pass
-        self._executor = _make_executor(self.executor_kind, self.workers)
-
-    def _rebuild_executor(self) -> None:
-        self._swap_executor()
-        self.telemetry.count("fleet_rebuilds")
-
     def _swap_slot(self, slot: _Slot) -> None:
-        """Replace one slot's worker and forget its modeled residency
-        (a fresh worker starts with an empty prepared cache)."""
+        """Replace one lane's worker (a fresh worker starts with an
+        empty prepared cache)."""
         try:
             slot.executor.shutdown(wait=False)
         except Exception:
             pass
-        slot.executor = _make_executor(self.executor_kind, 1)
-        slot.resident.clear()
+        slot.executor = _make_executor(self.executor_kind)
 
     def _rebuild_slot(self, slot: _Slot) -> None:
         self._swap_slot(slot)
@@ -290,9 +237,8 @@ class WorkEngine:
 
     def _ensure_slots(self) -> List[_Slot]:
         if self._slots is None:
-            self._slots = [
-                _Slot(i, _make_executor(self.executor_kind, 1))
-                for i in range(self._nslots())]
+            self._slots = [_Slot(_make_executor(self.executor_kind))
+                           for _ in range(self._nslots())]
         return self._slots
 
     # -- queue API ------------------------------------------------------------
@@ -304,15 +250,10 @@ class WorkEngine:
             if self._closed:
                 raise RuntimeError("WorkEngine is closed")
             for t in tickets:
-                if t.kind is not None:
-                    kind = t.kind
-                else:
-                    kind = 0 if t.task.loop is None else 1
+                kind = 0 if t.task.loop is None else 1
                 heapq.heappush(
                     self._heap,
                     (kind, -t.weight, t.order, next(self._seq), t))
-                if t.predicted_setup > 0.0:
-                    self._charged += 1
             if tickets:
                 self._ensure_dispatcher()
             self._cond.notify_all()
@@ -341,16 +282,13 @@ class WorkEngine:
             if cancelled:
                 self._heap = kept
                 heapq.heapify(self._heap)
-                self._charged = sum(
-                    1 for item in self._heap
-                    if item[-1].predicted_setup > 0.0)
                 self._cancelled_q.extend(cancelled)
                 self._ensure_dispatcher()
             self._cond.notify_all()
         return len(cancelled)
 
     def drain(self, timeout_s: Optional[float] = None) -> bool:
-        """Block until the queue and the in-flight window are empty."""
+        """Block until nothing is queued or in flight."""
         deadline = (None if timeout_s is None
                     else time.perf_counter() + timeout_s)
         while True:
@@ -382,11 +320,9 @@ class WorkEngine:
                 + list(self._cancelled_q)
                 + list(self._inflight.values()))
             self._heap = []
-            self._charged = 0
             self._cancelled_q.clear()
             self._inflight.clear()
             self._done.clear()
-            executor, self._executor = self._executor, None
             slots, self._slots = self._slots or [], None
         for ticket in pending:
             self.telemetry.count("tasks_cancelled")
@@ -397,11 +333,6 @@ class WorkEngine:
         for slot in slots:
             try:
                 slot.executor.shutdown(wait=False)
-            except Exception:
-                pass
-        if executor is not None:
-            try:
-                executor.shutdown(wait=False)
             except Exception:
                 pass
 
@@ -442,22 +373,18 @@ class WorkEngine:
                             expired.append(ticket)
                 to_dispatch: List[Ticket] = []
                 if self._heap:
-                    slots = self._ensure_slots()
-                    budget = self.max_pending - len(self._inflight)
-                    for slot in slots:
-                        if budget <= 0 or not self._heap:
+                    for slot in self._ensure_slots():
+                        if not self._heap:
                             break
                         if slot.inflight > 0:
-                            # One task per worker at a time: placement
+                            # One task per lane at a time: the pop
                             # happens as late as possible, so an idle
-                            # slot always steals the best queued work
-                            # instead of letting affinity strand it.
+                            # lane always takes the best queued work.
                             continue
-                        ticket = self._take_for(slot)
+                        ticket = heapq.heappop(self._heap)[-1]
                         ticket.slot = slot
                         slot.inflight += 1
                         to_dispatch.append(ticket)
-                        budget -= 1
                 if not (completed or cancelled or expired or to_dispatch):
                     if self._inflight:
                         wait = 0.05
@@ -469,10 +396,9 @@ class WorkEngine:
                         continue
                     # Fully idle: either park until the idle TTL tears
                     # the fleet down, or exit now (the thread restarts
-                    # on the next submit; the executor stays warm).
+                    # on the next submit; the lanes stay warm).
                     if (self.idle_ttl_s is not None
-                            and (self._executor is not None
-                                 or self._slots is not None)):
+                            and self._slots is not None):
                         remaining = (self._idle_since + self.idle_ttl_s
                                      - now)
                         if remaining > 0:
@@ -483,13 +409,7 @@ class WorkEngine:
                             if (time.perf_counter() - self._idle_since
                                     < self.idle_ttl_s):
                                 continue
-                        if self._executor is not None:
-                            try:
-                                self._executor.shutdown(wait=False)
-                            except Exception:
-                                pass
-                            self._executor = None
-                        for slot in (self._slots or ()):
+                        for slot in self._slots:
                             try:
                                 slot.executor.shutdown(wait=False)
                             except Exception:
@@ -513,64 +433,9 @@ class WorkEngine:
             for future, ticket in completed:
                 self._finish(future, ticket)
 
-    def _take_for(self, slot: _Slot) -> Ticket:
-        """Pick the queued ticket this slot should run next (caller
-        holds the lock; the heap is non-empty).
-
-        With no setup-charged tickets queued, this is a plain priority
-        pop — byte-identical ordering to the static scheduler.  With
-        the cost model on, the slot takes the ticket minimizing the
-        heap key *after charging ``predicted_setup`` against any
-        ticket whose module is not resident in this slot's prepared
-        cache*: resident work effectively gains priority, non-resident
-        work is discounted by the build it would trigger — and because
-        an idle slot always takes *something*, affinity can delay but
-        never strand a task (steal-when-idle).
-        """
-        if self._charged == 0:
-            ticket = heapq.heappop(self._heap)[-1]
-        else:
-            best_i, best_key = 0, None
-            for i, item in enumerate(self._heap):
-                t = item[-1]
-                charge = (t.predicted_setup
-                          if t.key not in slot.resident else 0.0)
-                key = (item[0], -(t.weight - charge), item[2], item[3])
-                if best_key is None or key < best_key:
-                    best_i, best_key = i, key
-            ticket = self._heap[best_i][-1]
-            last = self._heap.pop()
-            if best_i < len(self._heap):
-                self._heap[best_i] = last
-                heapq.heapify(self._heap)
-        if ticket.predicted_setup > 0.0:
-            self._charged -= 1
-        self._place(ticket, slot)
-        return ticket
-
-    def _place(self, ticket: Ticket, slot: _Slot) -> None:
-        """Update the slot's modeled prepared-LRU for this placement
-        and count the affinity outcome."""
-        tel = self.telemetry
-        key = ticket.key
-        if key in slot.resident:
-            slot.resident.move_to_end(key)
-            tel.count("prepared_affinity_hits")
-            return
-        tel.count("prepared_affinity_misses")
-        if ticket.predicted_setup > 0.0 and any(
-                key in s.resident
-                for s in (self._slots or ()) if s is not slot):
-            tel.count("prepared_affinity_steals")
-        slot.resident[key] = True
-        cap = getattr(ticket.task, "prepared_cache_size", None) or 1
-        while len(slot.resident) > max(1, cap):
-            slot.resident.popitem(last=False)
-
     def _release(self, ticket: Ticket) -> None:
-        slot, ticket.slot = ticket.slot, None
-        if slot is not None:
-            slot.inflight = max(0, slot.inflight - 1)
+        ticket.slot.inflight -= 1
+        ticket.slot = None
 
     def _dispatch(self, ticket: Ticket) -> bool:
         tel = self.telemetry
@@ -591,10 +456,8 @@ class WorkEngine:
                             discovery=task.loop is None,
                             queue_wait_s=wait_s)
         ticket.span = span
-        executor = (ticket.slot.executor if ticket.slot is not None
-                    else self.ensure_executor())
         try:
-            future = executor.submit(self._loop_runner, task)
+            future = ticket.slot.executor.submit(self._loop_runner, task)
         except Exception:
             tel.dequeue()
             span.end(status="submit_failure")
@@ -628,15 +491,11 @@ class WorkEngine:
         try:
             result = future.result()
         except Exception:
-            # Worker crash: only this task degrades; the crashed slot
-            # gets a fresh worker (and an empty residency model) so
-            # the rest of the queue still runs.
+            # Worker crash: only this task degrades; the crashed lane
+            # gets a fresh worker so the rest of the queue still runs.
             ticket.span.end(status="worker_crash")
             with self._cond:
-                if ticket.slot is not None:
-                    self._rebuild_slot(ticket.slot)
-                else:
-                    self._rebuild_executor()
+                self._rebuild_slot(ticket.slot)
             self._release(ticket)
             self._observe(ticket, "failure",
                           time.perf_counter() - ticket.submitted)
@@ -656,12 +515,11 @@ class WorkEngine:
     def _finish_expired(self, ticket: Ticket) -> None:
         self.telemetry.dequeue()
         ticket.span.end(status="timeout")
-        if ticket.slot is not None:
-            # The worker may still be chewing the abandoned task;
-            # replace it so the slot's next ticket starts clean rather
-            # than queueing behind a zombie.
-            with self._cond:
-                self._rebuild_slot(ticket.slot)
+        # The worker may still be chewing the abandoned task; replace
+        # it so the lane's next ticket starts clean rather than
+        # queueing behind a zombie.
+        with self._cond:
+            self._rebuild_slot(ticket.slot)
         self._release(ticket)
         self._observe(ticket, "timeout",
                       time.perf_counter() - ticket.submitted)
@@ -693,7 +551,6 @@ class WorkEngine:
             self._fatal = exc
             pending = [item[-1] for item in self._heap]
             self._heap = []
-            self._charged = 0
             pending.extend(self._cancelled_q)
             self._cancelled_q.clear()
             pending.extend(self._inflight.values())

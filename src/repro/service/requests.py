@@ -127,23 +127,17 @@ class AnalysisRequest:
         return _digest(self._key_ingredients())
 
     def duration_lineage(self) -> str:
-        """The keying for measured-duration rows and cost-model
-        predictions: the lineage scoped to the workload name.
+        """The keying for measured-duration rows: the lineage scoped
+        to the workload name.
 
         ``lineage_key`` deliberately ignores both the IR text and the
         display name, so *unrelated* modules analyzed under one
         entry/system/config share a lineage (the incremental probe
-        disambiguates them by footprint fingerprints).  Duration
-        predictions — above all predicted rosters — must not bleed
-        across unrelated modules, yet must still follow one named
-        workload through successive edits; the name is the stable
-        family discriminator that survives an edit."""
+        disambiguates them by footprint fingerprints).  Duration rows
+        must not bleed across unrelated modules, yet must still follow
+        one named workload through successive edits; the name is the
+        stable family discriminator that survives an edit."""
         return f"{self.lineage_key()}:{self.name}"
-
-    def shard_key(self) -> tuple:
-        """Identity for in-flight deduplication: requests that differ
-        only in display name or loop subset share underlying work."""
-        return (self.version_key(),)
 
 
 def _digest(payload: dict) -> str:

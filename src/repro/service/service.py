@@ -25,7 +25,7 @@ harness consume; a single ``analyze`` call with ``--workers``/
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.orchestrator import OrchestratorConfig
@@ -40,7 +40,8 @@ from .telemetry import ServiceTelemetry, TelemetrySnapshot, format_report
 class ServiceConfig:
     """Service-level knobs (orchestrator policy rides on the request)."""
 
-    #: Pool size; 0 forces the inline (no-concurrency) executor.
+    #: Worker lanes, each a one-worker executor holding one task at
+    #: a time; 0 still runs one lane.
     workers: int = 4
     #: "process" (default), "thread", or "inline".
     executor: str = "process"
@@ -60,25 +61,18 @@ class ServiceConfig:
     #: Bound on the write-behind queue; overflow sheds the oldest
     #: pending publication (counted, never blocking).
     l2_write_queue: int = 64
-    #: Wall-clock deadline for one shard; overdue shards degrade to
-    #: conservative answers.  ``None`` waits indefinitely.
-    shard_timeout_s: Optional[float] = None
+    #: Wall-clock deadline for one loop task; an overdue task degrades
+    #: to a conservative answer and its worker lane is rebuilt.
+    #: ``None`` waits indefinitely.
+    task_timeout_s: Optional[float] = None
     #: Budget for one loop's analysis inside a worker; an overdue loop
-    #: degrades to a conservative answer without losing its shard.
+    #: degrades to a conservative answer while its worker survives.
     loop_timeout_s: Optional[float] = None
-    #: Bounded in-flight window (backpressure); default 2x workers.
-    max_pending_shards: Optional[int] = None
-    #: Upper bound on shards one request may be split into.
-    max_shards_per_request: Optional[int] = None
     #: Incremental re-analysis: on a cache miss, look for a prior run
     #: of the same request lineage and revalidate each cached loop's
     #: dependence footprint against the edited module, recomputing only
     #: the loops an edit actually dirtied.
     incremental: bool = True
-    #: Fan-out mode: "queue" (global loop-granular work queue, LPT
-    #: ordered, shared across in-flight requests) or "shard" (legacy
-    #: per-request shards).
-    mode: str = "queue"
     #: Capacity of each worker's resident prepared-module LRU (parsed
     #: module + context + profiles + built system per version key);
     #: ``None`` uses the worker default.
@@ -87,11 +81,6 @@ class ServiceConfig:
     #: lazily respawn on the next task (the daemon's scale-down);
     #: ``None`` keeps workers resident forever.
     idle_ttl_s: Optional[float] = None
-    #: Predictive cost-model scheduling (queue mode): measured-duration
-    #: LPT weights plus prepared-module affinity placement.  ``False``
-    #: (or the ``REPRO_NO_COST_MODEL`` environment variable / the
-    #: ``--no-cost-model`` flag) falls back to the static estimate.
-    cost_model: bool = True
     #: Default orchestrator config stamped onto requests that carry
     #: none (lets callers pick join/bailout policies service-wide).
     orchestrator: Optional[OrchestratorConfig] = None
@@ -124,15 +113,11 @@ class DependenceService:
             executor=self.config.executor,
             cache=self.cache,
             telemetry=self.telemetry,
-            shard_timeout_s=self.config.shard_timeout_s,
+            task_timeout_s=self.config.task_timeout_s,
             loop_timeout_s=self.config.loop_timeout_s,
-            max_pending_shards=self.config.max_pending_shards,
-            max_shards_per_request=self.config.max_shards_per_request,
             incremental=self.config.incremental,
-            mode=self.config.mode,
             prepared_cache_size=self.config.prepared_cache_size,
             idle_ttl_s=self.config.idle_ttl_s,
-            cost_model=self.config.cost_model,
         )
 
     # -- serving -------------------------------------------------------------

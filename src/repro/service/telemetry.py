@@ -36,7 +36,6 @@ __all__ = [
 #: ``module_evals{module=...}`` that merge into the same registry).
 _COUNTERS = (
     "requests",
-    "shards_dispatched",
     "shards_deduplicated",
     "shards_failed",
     "shards_timed_out",
@@ -61,11 +60,6 @@ _COUNTERS = (
     "tasks_cancelled",
     "fleet_rebuilds",
     "fleet_scale_downs",
-    # Predictive cost model + affinity placement (repro.service.costmodel).
-    "prepared_affinity_hits",
-    "prepared_affinity_misses",
-    "prepared_affinity_steals",
-    "roster_predictions",
     # Tiered result cache (repro.cachetier): per-tier attribution.
     "l1_hits",
     "l1_misses",
@@ -84,7 +78,6 @@ class TelemetrySnapshot:
     """Immutable view of one service run's observability counters."""
 
     requests: int
-    shards_dispatched: int
     shards_deduplicated: int
     shards_failed: int
     shards_timed_out: int
@@ -113,11 +106,11 @@ class TelemetrySnapshot:
     max_queue_depth: int
     request_latency: Dict[str, float]   # histogram summary
     query_latency: Dict[str, float]     # per-loop analysis latencies
-    #: Seconds a queued task waited before dispatch (queue mode).
+    #: Seconds a queued task waited before dispatch.
     queue_wait: Dict[str, float] = field(default_factory=dict)
     #: Batch-relative completion latency per original request (the
     #: tail-latency headline: recorded once per deduplicated demand
-    #: when a request's last task lands, in both modes).
+    #: when a request's last task lands).
     request_completion: Dict[str, float] = field(default_factory=dict)
     #: Full registry dump: every labeled series (per-module evals,
     #: per-workload latencies) with raw histogram buckets.
@@ -125,7 +118,8 @@ class TelemetrySnapshot:
     #: Queued tasks swept when their client went away (daemon
     #: disconnect/cancel) or the engine closed mid-queue.
     tasks_cancelled: int = 0
-    #: Executor rebuilds after a worker crash (queue mode).
+    #: Worker-lane rebuilds after a crash or timeout, plus ``recycle``
+    #: fleet replacements.
     fleet_rebuilds: int = 0
     #: Idle-TTL worker-fleet teardowns (the daemon's scale-down).
     fleet_scale_downs: int = 0
@@ -143,24 +137,6 @@ class TelemetrySnapshot:
     l2_writes_shed: int = 0
     l2_writes_dropped: int = 0
     l2_errors: int = 0
-    #: Affinity placement: loop tasks routed to a worker slot whose
-    #: modeled prepared-LRU already held the module (hits) vs not
-    #: (misses), and charged tasks an idle slot took from another
-    #: slot's residency (steals — affinity never strands a worker).
-    prepared_affinity_hits: int = 0
-    prepared_affinity_misses: int = 0
-    prepared_affinity_steals: int = 0
-    #: Requests whose hot-loop roster was predicted from lineage
-    #: history, skipping the discovery barrier.
-    roster_predictions: int = 0
-    #: |predicted - measured| wall seconds per finished loop task
-    #: (histogram summary; empty when the cost model is off).
-    prediction_error: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def prepared_affinity_hit_rate(self) -> float:
-        total = self.prepared_affinity_hits + self.prepared_affinity_misses
-        return self.prepared_affinity_hits / total if total else 0.0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -193,11 +169,6 @@ class ServiceTelemetry:
         self.queue_wait = self.registry.histogram("queue_wait_s")
         self.request_completion = \
             self.registry.histogram("request_completion_s")
-        #: |predicted - measured| seconds per finished loop task; the
-        #: cost model records into it, exposition renders it as
-        #: ``repro_sched_prediction_error_s``.
-        self.prediction_error = \
-            self.registry.histogram("sched_prediction_error_s")
         self._queue = self.registry.gauge("queue_depth")
         #: Optional live ops plane (:class:`repro.obs.live.LiveOps`).
         #: ``None`` outside the daemon; the engine guards every
@@ -245,7 +216,6 @@ class ServiceTelemetry:
         value = self.registry.value
         return TelemetrySnapshot(
             requests=value("requests"),
-            shards_dispatched=value("shards_dispatched"),
             shards_deduplicated=value("shards_deduplicated"),
             shards_failed=value("shards_failed"),
             shards_timed_out=value("shards_timed_out"),
@@ -286,11 +256,6 @@ class ServiceTelemetry:
             l2_writes_shed=value("l2_writes_shed"),
             l2_writes_dropped=value("l2_writes_dropped"),
             l2_errors=value("l2_errors"),
-            prepared_affinity_hits=value("prepared_affinity_hits"),
-            prepared_affinity_misses=value("prepared_affinity_misses"),
-            prepared_affinity_steals=value("prepared_affinity_steals"),
-            roster_predictions=value("roster_predictions"),
-            prediction_error=self.prediction_error.summary(),
         )
 
 
@@ -308,8 +273,7 @@ def format_report(snap: TelemetrySnapshot) -> str:
         "service telemetry",
         "-----------------",
         f"  requests         {snap.requests} "
-        f"({snap.shards_dispatched} shards, "
-        f"{snap.loop_tasks_dispatched} loop tasks dispatched "
+        f"({snap.loop_tasks_dispatched} loop tasks dispatched "
         f"({snap.discovery_tasks} discovery), "
         f"{snap.shards_deduplicated} deduplicated in-flight)",
         f"  loops            {snap.loops_computed} computed, "
@@ -326,7 +290,7 @@ def format_report(snap: TelemetrySnapshot) -> str:
         f"(hit rate {snap.prepared_hit_rate:.1%}, "
         f"{snap.prepared_evictions} evictions, "
         f"setup {snap.setup_s:.2f}s billed once)",
-        f"  robustness       {snap.shards_timed_out} shard timeouts, "
+        f"  robustness       {snap.shards_timed_out} task timeouts, "
         f"{snap.shards_failed} worker failures",
         f"  orchestrators    {snap.orchestrator_queries} queries, "
         f"{snap.module_evals} module evaluations",
@@ -334,7 +298,7 @@ def format_report(snap: TelemetrySnapshot) -> str:
         f"(utilization {snap.worker_utilization:.1%}, "
         f"busy {snap.busy_s:.2f}s of {snap.wall_s:.2f}s wall)",
         f"  queue            max depth {snap.max_queue_depth}",
-        _lat("shard latency", snap.request_latency),
+        _lat("task latency", snap.request_latency),
         _lat("loop latency", snap.query_latency),
     ]
     if snap.queue_wait.get("count"):
@@ -347,17 +311,6 @@ def format_report(snap: TelemetrySnapshot) -> str:
             f"  fleet            {snap.tasks_cancelled} tasks cancelled, "
             f"{snap.fleet_rebuilds} rebuilds, "
             f"{snap.fleet_scale_downs} idle scale-downs")
-    affinity_traffic = (snap.prepared_affinity_hits
-                        + snap.prepared_affinity_misses)
-    if affinity_traffic or snap.roster_predictions:
-        lines.append(
-            f"  cost model       affinity {snap.prepared_affinity_hits}"
-            f"/{affinity_traffic} placements resident "
-            f"(hit rate {snap.prepared_affinity_hit_rate:.1%}, "
-            f"{snap.prepared_affinity_steals} steals), "
-            f"{snap.roster_predictions} predicted rosters")
-    if snap.prediction_error.get("count"):
-        lines.append(_lat("pred error", snap.prediction_error))
     tier_traffic = (snap.l1_hits + snap.l1_misses + snap.l2_hits
                     + snap.l2_misses + snap.l2_writes + snap.l2_errors)
     if tier_traffic:

@@ -1,24 +1,17 @@
-"""Worker-side evaluation: shards (legacy) and loop tasks (queue mode).
+"""Worker-side evaluation of loop tasks.
 
-Two execution granularities cross the pool boundary:
-
-- A *shard* (:func:`run_shard`) is the legacy unit: one module and a
-  set of hot loops.  The worker rebuilds the world once per shard —
-  parse, verify, profile, construct the analysis system — then answers
-  every loop in the shard through one :class:`PDGClient`.
-- A *loop task* (:func:`run_loop_task`) is the queue scheduler's unit:
-  one module and **one** hot loop (or a roster-discovery task when the
-  hot-loop set is unknown).  Loop granularity only pays off because of
-  the **worker-resident prepared-module cache**: an LRU keyed by
-  version key holding the parsed module, analysis context, profiles,
-  and the built analysis system, so K loop tasks of the same module
-  pay parse/verify/profile/build once per worker process instead of
-  once per task.  Cache hits report ``setup_s = 0`` — setup cost is
-  billed to the task that populated the entry, never re-billed.
+A *loop task* (:func:`run_loop_task`) is the scheduler's unit: one
+module and **one** hot loop (or a roster-discovery task when the
+hot-loop set is unknown).  Loop granularity only pays off because of
+the **worker-resident prepared-module cache**: an LRU keyed by
+version key holding the parsed module, analysis context, profiles,
+and the built analysis system, so K loop tasks of the same module pay
+parse/verify/profile/build once per worker process instead of once
+per task.  Cache hits report ``setup_s = 0`` — setup cost is billed
+to the task that populated the entry, never re-billed.
 
 Everything here must stay picklable and importable at module level
-(``run_shard``/``run_loop_task`` cross the ``ProcessPoolExecutor``
-boundary).
+(``run_loop_task`` crosses the ``ProcessPoolExecutor`` boundary).
 
 Per-loop timeouts run the analysis on a helper thread and abandon it
 on expiry, returning the conservative fallback for that loop; the
@@ -68,61 +61,6 @@ DEFAULT_PREPARED_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
-class ShardTask:
-    """One worker assignment: a request narrowed to a loop subset."""
-
-    request: AnalysisRequest
-    loops: Tuple[str, ...] = ()        # () = all hot loops
-    loop_timeout_s: Optional[float] = None
-    #: When set, the worker traces this shard (its own TraceContext,
-    #: serialized back in :attr:`ShardResult.spans`).
-    trace: Optional[TraceSpec] = None
-
-
-@dataclass
-class ShardResult:
-    """What a worker streams back for one shard."""
-
-    version_key: str
-    workload: str
-    system: str
-    entry: str
-    profile_digest: str
-    hot_loops: Tuple[str, ...]          # all hot loops of the profile
-    answers: List[LoopAnswer] = field(default_factory=list)
-    module_evals: int = 0
-    orchestrator_queries: int = 0
-    busy_s: float = 0.0
-    #: Loop name -> profiled share of execution time, for the full
-    #: roster (feeds the queue scheduler's LPT ordering and the
-    #: roster-reuse fast path of the incremental probe).
-    hot_fractions: Dict[str, float] = field(default_factory=dict)
-    #: Total dynamic instructions of the training run; scales the
-    #: fractions into cross-module-comparable LPT weights.
-    total_instructions: int = 0
-    #: Loop name -> names of the functions its analysis consulted
-    #: (callgraph reachability from the loop's function plus the
-    #: orchestrator's consulted-function trace).
-    footprints: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: Per-function content hashes of the analyzed module, plus the
-    #: globals/structs header hash — what the scheduler stores next to
-    #: each answer so later edited modules can revalidate footprints.
-    fingerprints: Dict[str, str] = field(default_factory=dict)
-    header_fingerprint: str = ""
-    #: Every function whose content could have influenced the training
-    #: run (executed definitions, the entry, all declarations); edits
-    #: provably outside this set reuse the profile without
-    #: re-interpretation.
-    executed_functions: Tuple[str, ...] = ()
-    #: Finished trace spans (plain dicts) when the shard was traced;
-    #: the scheduler adopts them under its dispatch span.
-    spans: List[dict] = field(default_factory=list)
-    #: Worker-side labeled metrics (a MetricsRegistry snapshot):
-    #: per-module evaluation counts, per-workload loop latencies.
-    metrics: Dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class LoopTask:
     """The queue scheduler's unit: one module, one hot loop.
 
@@ -137,10 +75,8 @@ class LoopTask:
     #: The scheduler's LPT estimate (profiled time fraction); carried
     #: for observability only.
     time_fraction: float = 0.0
-    #: The cost model's predicted wall seconds for this task (0.0 when
-    #: the model is off or had no basis); carried for observability so
-    #: traces can show predicted-vs-actual per task.
-    predicted_s: float = 0.0
+    #: When set, the worker traces this task (its own TraceContext,
+    #: serialized back in :attr:`LoopTaskResult.spans`).
     trace: Optional[TraceSpec] = None
     prepared_cache_size: int = DEFAULT_PREPARED_CACHE_SIZE
 
@@ -157,12 +93,22 @@ class LoopTaskResult:
     answer: Optional[LoopAnswer] = None
     hot_loops: Tuple[str, ...] = ()
     hot_fractions: Dict[str, float] = field(default_factory=dict)
-    #: Total dynamic instructions of the training run (LPT weighting).
+    #: Total dynamic instructions of the training run; scales the
+    #: fractions into cross-module-comparable LPT weights.
     total_instructions: int = 0
     profile_digest: str = ""
+    #: Per-function content hashes of the analyzed module, plus the
+    #: globals/structs header hash — what the scheduler stores next to
+    #: each answer so later edited modules can revalidate footprints.
     fingerprints: Dict[str, str] = field(default_factory=dict)
     header_fingerprint: str = ""
+    #: Every function whose content could have influenced the training
+    #: run (executed definitions, the entry, all declarations); edits
+    #: provably outside this set reuse the profile without
+    #: re-interpretation.
     executed_functions: Tuple[str, ...] = ()
+    #: Names of the entities the loop's analysis consulted (see
+    #: :func:`loop_footprint`).
     footprint: Tuple[str, ...] = ()
     module_evals: int = 0
     orchestrator_queries: int = 0
@@ -175,24 +121,26 @@ class LoopTaskResult:
     setup_s: float = 0.0
     #: Steady-state task wall: ``busy_s`` minus the one-time setup,
     #: i.e. what a warm fleet pays to re-run this loop.  Persisted
-    #: into the result cache's ``durations`` table as the feedstock
-    #: for predicted-wall-time LPT ordering.
+    #: into the result cache's ``durations`` table.
     analysis_wall_s: float = 0.0
     prepared_hit: bool = False
     #: Prepared-module entries this task's insertion evicted.
     prepared_evictions: int = 0
+    #: Finished trace spans (plain dicts) when the task was traced;
+    #: the engine adopts them under its dispatch span.
     spans: List[dict] = field(default_factory=list)
+    #: Worker-side labeled metrics (a MetricsRegistry snapshot):
+    #: per-module evaluation counts, per-workload loop latencies.
     metrics: Dict = field(default_factory=dict)
 
 
 def prepare_request(request: AnalysisRequest):
     """Parse, verify, and profile a request's module.
 
-    Shared by :func:`run_shard`, the prepared-module cache, and the
-    scheduler's incremental cache probe — the probe needs the real
-    hot-loop roster and fingerprints of an *edited* module before
-    deciding what still has to run.  Returns
-    ``(module, context, profiles)``.
+    Shared by the prepared-module cache and the scheduler's
+    incremental cache probe — the probe needs the real hot-loop
+    roster and fingerprints of an *edited* module before deciding
+    what still has to run.  Returns ``(module, context, profiles)``.
     """
     tracer = current_tracer()
     with tracer.span("prepare", cat="prepare", workload=request.name,
@@ -462,105 +410,16 @@ def _analyze_with_timeout(client: PDGClient, loop,
     return box[0] if box else None
 
 
-# -- shard evaluation (legacy mode) ------------------------------------------
-
-def run_shard(task: ShardTask) -> ShardResult:
-    """Evaluate one shard start-to-finish (runs in a pool worker).
-
-    When :attr:`ShardTask.trace` is set, the worker runs under its
-    own :class:`~repro.obs.trace.TraceContext` (installed for the
-    shard's duration, restored after) and serializes the finished
-    spans plus its labeled metrics into the result, so the scheduler
-    can merge every worker's timeline into one trace.
-    """
-    if task.trace is None:
-        return _run_shard(task)
-    tracer = task.trace.build()
-    previous = set_tracer(tracer)
-    try:
-        with tracer.span("shard", cat="shard",
-                         workload=task.request.name,
-                         system=task.request.system,
-                         loops=list(task.loops)):
-            result = _run_shard(task)
-    finally:
-        set_tracer(previous)
-    result.spans = tracer.export()
-    return result
-
-
-def _run_shard(task: ShardTask) -> ShardResult:
-    request = task.request
-    started = time.perf_counter()
-    registry = MetricsRegistry()
-    tracer = current_tracer()
-
-    module, context, profiles = prepare_request(request)
-    hot = hot_loops(profiles)
-
-    result = ShardResult(
-        version_key=request.version_key(),
-        workload=request.name,
-        system=request.system,
-        entry=request.entry,
-        profile_digest=profile_digest(profiles),
-        hot_loops=tuple(h.name for h in hot),
-        hot_fractions={h.name: h.time_fraction for h in hot},
-        total_instructions=profiles.total_instructions,
-        fingerprints=module_content_fingerprints(module),
-        header_fingerprint=module_header_fingerprint(module),
-        executed_functions=executed_function_scope(module, profiles,
-                                                   request.entry),
-    )
-
-    wanted = set(task.loops) if task.loops else None
-    selected = [h for h in hot if wanted is None or h.name in wanted]
-
-    system = build_system(request.system, module, context, profiles,
-                          request.config)
-    client = PDGClient(system)
-    reset_consulted = getattr(system.coordinator, "reset_consulted",
-                              lambda: None)
-    for h in selected:
-        reset_consulted()
-        context.reset_scan_trace()
-        loop_started = time.perf_counter()
-        with tracer.span("loop", cat="loop", loop=h.name,
-                         workload=request.name,
-                         system=request.system) as loop_span:
-            pdg = _analyze_with_timeout(client, h.loop,
-                                        task.loop_timeout_s)
-            latency = time.perf_counter() - loop_started
-            loop_span.set(timed_out=pdg is None)
-        registry.histogram("loop_latency_s", workload=request.name,
-                           system=request.system).record(latency)
-        if pdg is None:
-            result.answers.append(fallback_answer(
-                request.name, request.system, h.name, h.time_fraction))
-        else:
-            result.answers.append(summarize_pdg(
-                request.name, request.system, pdg, h.time_fraction,
-                latency))
-            result.footprints[h.name] = loop_footprint(system, h.loop)
-    for module_name, evals in sorted(
-            system.stats.module_evals.items()):
-        registry.counter("module_evals", module=module_name,
-                         workload=request.name).inc(evals)
-    result.module_evals = system.stats.total_module_evals
-    result.orchestrator_queries = system.stats.queries
-    result.busy_s = time.perf_counter() - started
-    result.metrics = registry.snapshot()
-    return result
-
-
-# -- loop-task evaluation (queue mode) ---------------------------------------
+# -- loop-task evaluation ----------------------------------------------------
 
 def run_loop_task(task: LoopTask) -> LoopTaskResult:
     """Evaluate one loop task (runs in a pool worker).
 
-    Mirrors :func:`run_shard`'s tracing contract: with a
-    :class:`TraceSpec` attached, the worker traces the task under its
-    own context and ships the spans back for adoption.
+    When :attr:`LoopTask.trace` is set, the worker runs under its own
+    :class:`~repro.obs.trace.TraceContext` (installed for the task's
+    duration, restored after) and serializes the finished spans plus
+    its labeled metrics into the result, so the scheduler can merge
+    every worker's timeline into one trace.
     """
     if task.trace is None:
         return _run_loop_task(task)
@@ -574,9 +433,6 @@ def run_loop_task(task: LoopTask) -> LoopTaskResult:
             result = _run_loop_task(task)
             span.set(prepared="hit" if result.prepared_hit else "miss",
                      discovery=task.loop is None)
-            if task.predicted_s > 0.0:
-                span.set(predicted_s=round(task.predicted_s, 6),
-                         measured_s=round(result.analysis_wall_s, 6))
     finally:
         set_tracer(previous)
     result.spans = tracer.export()
@@ -621,8 +477,8 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
     h = entry.hot_by_name.get(task.loop)
     if h is None:
         # Requested loop is not in the profile's hot roster (explicit
-        # loop subsets may name cold loops).  Shard mode silently
-        # omits such loops; answer=None keeps the modes identical.
+        # loop subsets may name cold loops): answer=None leaves it out
+        # of the request's answers.
         result.busy_s = time.perf_counter() - started
         result.metrics = registry.snapshot()
         return result

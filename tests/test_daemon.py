@@ -11,6 +11,9 @@ What this file pins:
 - admission control: per-session window and global queue depth both
   shed with typed ``BUSY``; a draining daemon answers
   ``SHUTTING_DOWN``;
+- frames: a submit past asyncio's default 64 KiB line limit is
+  served, and a frame past ``MAX_FRAME_BYTES`` gets a typed
+  ``TOO_LARGE`` while its session keeps serving;
 - lifecycle edges: client disconnect mid-request releases its queue
   slots, a worker crash during a multi-client drain recycles the
   fleet without dropping the other session's answers, and shutdown
@@ -38,6 +41,7 @@ from repro.service import (
     AnalysisRequest,
     BatchScheduler,
     DependenceService,
+    LoopTaskResult,
     ServiceConfig,
     STATUS_COMPUTED,
     STATUS_FALLBACK,
@@ -122,7 +126,26 @@ def gated_service(telemetry_workers: int, gate: threading.Event,
 
     svc.scheduler.close()
     svc.scheduler = BatchScheduler(workers=telemetry_workers,
-                                   executor="thread", mode="queue",
+                                   executor="thread",
+                                   loop_runner=runner,
+                                   telemetry=svc.telemetry)
+    return svc
+
+
+def hollow_service():
+    """An inline service whose workers analyze nothing: every
+    discovery task reports an empty roster, so a submit costs little
+    more than reading its frame."""
+    def runner(task):
+        request = task.request
+        return LoopTaskResult(version_key=request.version_key(),
+                              workload=request.name,
+                              system=request.system,
+                              entry=request.entry, loop=task.loop)
+
+    svc = DependenceService(ServiceConfig(workers=0, executor="inline"))
+    svc.scheduler.close()
+    svc.scheduler = BatchScheduler(workers=0, executor="inline",
                                    loop_runner=runner,
                                    telemetry=svc.telemetry)
     return svc
@@ -231,6 +254,48 @@ class TestRoundTrip:
                 with pytest.raises(DaemonError) as info:
                     c._rpc({"verb": "submit", "requests": []})
                 assert info.value.code == protocol.ERR_BAD_REQUEST
+        finally:
+            daemon.stop()
+
+
+# -- frame size limit --------------------------------------------------------
+
+class TestFrameLimit:
+    def test_submit_of_two_suites_is_served(self, tmp_path):
+        from repro.workloads import ALL_WORKLOADS
+        requests = [request_for_workload(w.name, system="caf")
+                    for w in ALL_WORKLOADS] * 2
+        frame = protocol.encode_message(
+            {"verb": "submit",
+             "requests": protocol.requests_to_wire(requests)})
+        assert len(frame) > 100_000  # past asyncio's 64 KiB default
+        daemon, addr = start_daemon(tmp_path, service=hollow_service())
+        try:
+            with DaemonClient(addr) as c:
+                groups = c.run_batch(requests)
+                assert c.ping()["ok"]
+            assert len(groups) == len(requests)
+        finally:
+            daemon.stop()
+
+    def test_oversize_frame_is_typed_and_session_survives(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1024)
+        daemon, addr = start_daemon(tmp_path, service=hollow_service())
+        try:
+            with DaemonClient(addr) as c:
+                # 70 KB: the newline arrives long after the limit; and
+                # 2 KB: the newline is already buffered past it.
+                for pad in (70_000, 2_000):
+                    with pytest.raises(DaemonError) as info:
+                        c._rpc({"verb": "ping", "pad": "x" * pad})
+                    assert info.value.code == protocol.ERR_TOO_LARGE
+                    assert info.value.too_large
+                    assert c.ping()["ok"]
+                # Under the limit, the same session still submits.
+                groups = c.run_batch([AnalysisRequest(
+                    "small", make_source(), system="caf")])
+                assert groups == [[]]
         finally:
             daemon.stop()
 

@@ -13,7 +13,8 @@ What this file pins:
 - NDJSON lifecycle logging (epoch + monotonic stamps), including the
   L2 cooldown entry/exit events off the tiered cache;
 - the durations table: EWMA blending, freshest-wins lineage reads,
-  and end-to-end persistence through a cached batch;
+  one-query batched reads, and end-to-end persistence through a
+  cached batch;
 - the daemon end to end: ``metrics``/``dump`` verbs, per-client
   attribution, the plain-HTTP ``/metrics`` + ``/healthz`` listener
   (including the 503 drain transition), the drain-time flight dump,
@@ -371,6 +372,53 @@ class TestDurations:
             assert all(v >= 0.0 for v in looked.values())
         finally:
             service.close()
+
+
+class TestBatchedDurationReads:
+    def _seeded_cache(self, tmp_path, lineages):
+        cache = ResultCache(str(tmp_path / "cache"))
+        for i, lineage in enumerate(lineages):
+            cache.record_durations(
+                f"v{i}", lineage,
+                {f"@f{i}:%l": 0.5 + i, f"@g{i}:%l": 0.1 * (i + 1)})
+        return cache
+
+    def test_lookup_durations_many_is_one_query(self, tmp_path):
+        """Many lineages read with ONE parameterized SELECT — the
+        regression gate against per-loop (or per-key) probes."""
+        lineages = [f"lin{i}" for i in range(5)]
+        cache = self._seeded_cache(tmp_path, lineages)
+        statements = []
+        cache._conn.set_trace_callback(statements.append)
+        try:
+            out = cache.lookup_durations_many(lineages)
+        finally:
+            cache._conn.set_trace_callback(None)
+        cache.close()
+        selects = [s for s in statements if s.lstrip().upper()
+                   .startswith("SELECT")]
+        assert len(selects) == 1, selects
+        assert set(out) == set(lineages)
+
+    def test_batched_read_matches_singular_reads(self, tmp_path):
+        lineages = [f"lin{i}" for i in range(4)]
+        cache = self._seeded_cache(tmp_path, lineages)
+        many = cache.lookup_durations_many(lineages + ["absent", ""])
+        for lineage in lineages:
+            assert many[lineage] == cache.lookup_durations(lineage)
+        assert "absent" not in many  # no empty placeholder rows
+        assert "" not in many
+        cache.close()
+
+    def test_freshest_row_wins_within_batch(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        cache.record_durations("v1", "lin", {"@f:%l": 1.0})
+        time.sleep(0.02)  # distinct updated_at
+        cache.record_durations("v2", "lin", {"@f:%l": 9.0})
+        looked = cache.lookup_durations_many(["lin"])["lin"]
+        # v2's EWMA-free first sample is the freshest row for @f:%l.
+        assert looked["@f:%l"] == pytest.approx(9.0)
+        cache.close()
 
 
 # -- the daemon's live plane, end to end -------------------------------------

@@ -132,11 +132,11 @@ class TestTraceContext:
             pass                                 # root 0: recorded
         with t.span("query", cat="query", sample=True):
             pass                                 # root 1: suppressed
-        with t.span("shard", cat="shard"):       # not a sampling root
+        with t.span("loop_task", cat="task"):    # not a sampling root
             pass
         cats = [s["cat"] for s in t.export()]
         assert cats.count("query") == 1
-        assert cats.count("shard") == 1
+        assert cats.count("task") == 1
 
     def test_sample_every_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -214,17 +214,17 @@ class TestAdopt:
         with scheduler.span("batch"):
             dispatch = scheduler.begin("dispatch", cat="dispatch")
             worker = TraceContext()
-            with worker.span("shard", cat="shard"):
+            with worker.span("loop_task", cat="task"):
                 with worker.span("loop", cat="loop"):
                     pass
             dispatch.end(status="completed")
             scheduler.adopt(worker.export(), parent_id=dispatch.id)
         spans = scheduler.export()
         index = span_index(spans)
-        shard = [s for s in spans if s["cat"] == "shard"][0]
+        task = [s for s in spans if s["cat"] == "task"][0]
         loop = [s for s in spans if s["cat"] == "loop"][0]
-        assert shard["parent"] == dispatch.id
-        assert index[loop["parent"]] is shard
+        assert task["parent"] == dispatch.id
+        assert index[loop["parent"]] is task
         assert validate_spans(spans) == []
 
 
@@ -489,7 +489,7 @@ class TestTelemetry:
     def test_format_report_golden(self):
         tel = ServiceTelemetry(workers=2)
         for counter, n in (
-                ("requests", 3), ("shards_dispatched", 2),
+                ("requests", 3), ("loop_tasks_dispatched", 2),
                 ("shards_deduplicated", 1), ("shards_timed_out", 1),
                 ("loops_computed", 4), ("loops_from_cache", 2),
                 ("loops_incremental", 1), ("cache_hits", 5),
@@ -500,7 +500,7 @@ class TestTelemetry:
         expected = "\n".join([
             "service telemetry",
             "-----------------",
-            "  requests         3 (2 shards, 0 loop tasks dispatched "
+            "  requests         3 (2 loop tasks dispatched "
             "(0 discovery), 1 deduplicated in-flight)",
             "  loops            4 computed, 2 from cache "
             "(1 via footprint revalidation), 0 conservative fallback",
@@ -508,12 +508,12 @@ class TestTelemetry:
             "2 incremental probes, 0 profile-roster reuses)",
             "  prepared modules 0 hits / 0 misses (hit rate 0.0%, "
             "0 evictions, setup 0.00s billed once)",
-            "  robustness       1 shard timeouts, 0 worker failures",
+            "  robustness       1 task timeouts, 0 worker failures",
             "  orchestrators    10 queries, 40 module evaluations",
             "  workers          2 (utilization 0.0%, "
             "busy 0.00s of 0.00s wall)",
             "  queue            max depth 3",
-            "  shard latency    n=0     mean=    0.00ms "
+            "  task latency     n=0     mean=    0.00ms "
             "p50=    0.00ms p90=    0.00ms p99=    0.00ms "
             "max=    0.00ms",
             "  loop latency     n=0     mean=    0.00ms "
@@ -529,11 +529,7 @@ def _traced_batch(sample_every=1):
     tracer = TraceContext(sample_every=sample_every)
     set_tracer(tracer)
     try:
-        # Legacy shard mode: these tests pin the per-shard timeline
-        # (the queue-mode loop_task timeline is covered in
-        # test_service_queue.py).
-        scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="shard")
+        scheduler = BatchScheduler(workers=0, executor="inline")
         requests = [
             AnalysisRequest("w1", make_source(), system="scaf"),
             AnalysisRequest("w2", make_source(iters=80), system="scaf"),
@@ -551,17 +547,22 @@ class TestEndToEndTracing:
         assert validate_spans(spans) == []
         cats = {s["cat"] for s in spans}
         # Every layer shows up in one timeline: scheduler phases,
-        # dispatch, the worker shard, per-loop analysis, profiling,
-        # and the Orchestrator's query/module/premise recursion.
-        for expected in ("batch", "dispatch", "shard", "loop",
+        # dispatch, the worker's loop task, per-loop analysis,
+        # profiling, and the Orchestrator's query/module/premise
+        # recursion.
+        for expected in ("batch", "dispatch", "task", "loop",
                          "profile", "query", "module_eval"):
             assert expected in cats, f"missing category {expected}"
+        # batch -> fan_out -> dispatch -> loop_task -> loop
         index = span_index(spans)
-        for s in spans:
-            if s["cat"] == "shard":
-                assert index[s["parent"]]["cat"] == "dispatch"
-            if s["cat"] == "loop":
-                assert index[s["parent"]]["cat"] == "shard"
+        parent = {s["id"]: index[s["parent"]]["name"]
+                  for s in spans if s["parent"] is not None}
+        for name, above in (("fan_out", "batch"), ("dispatch", "fan_out"),
+                            ("loop_task", "dispatch"),
+                            ("loop", "loop_task")):
+            nodes = [s for s in spans if s["name"] == name]
+            assert nodes, f"missing span {name}"
+            assert all(parent[s["id"]] == above for s in nodes), name
 
     def test_attribution_reconciles_with_exported_artifact(
             self, tmp_path):
@@ -588,7 +589,7 @@ class TestEndToEndTracing:
         n_sampled = sum(1 for s in sampled if s["cat"] == "query")
         assert 0 < n_sampled < n_full
         # Infrastructure spans survive sampling untouched.
-        for cat in ("batch", "shard", "loop"):
+        for cat in ("batch", "task", "loop"):
             assert (sum(1 for s in sampled if s["cat"] == cat)
                     == sum(1 for s in full if s["cat"] == cat))
         assert validate_spans(sampled) == []

@@ -1,8 +1,9 @@
 """Tests for the serving layer (repro.service).
 
 Covers the wire schema, version-keyed persistent cache, batch
-scheduler (dedup, sharding, backpressure, degradation), the service
-facade, and the two contract properties the subsystem exists for:
+scheduler (dedup, per-loop tasks, bounded in-flight work,
+degradation), the service facade, and the two contract properties
+the subsystem exists for:
 
 - batched answers are bitwise-identical to the sequential
   ``coordinator.handle`` path (hypothesis property test), and
@@ -14,7 +15,9 @@ import json
 import sqlite3
 import sys
 import tempfile
+import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -28,10 +31,10 @@ from repro.service import (
     AnalysisRequest,
     BatchScheduler,
     DependenceService,
+    LoopTask,
+    LoopTaskResult,
     ResultCache,
     ServiceConfig,
-    ShardResult,
-    ShardTask,
     STATUS_CACHED,
     STATUS_COMPUTED,
     STATUS_FALLBACK,
@@ -41,7 +44,7 @@ from repro.service import (
     loop_answer_to_dict,
     request_for_workload,
     reset_prepared_cache,
-    run_shard,
+    run_loop_task,
     summarize_pdg,
     system_module_roster,
 )
@@ -401,20 +404,20 @@ class TestResultCache:
 
 # -- scheduler ---------------------------------------------------------------
 
-def _canned_result(task: ShardTask) -> ShardResult:
-    loops = task.loops or ("@main:%loop",)
-    return ShardResult(
-        version_key=task.request.version_key(),
-        workload=task.request.name,
-        system=task.request.system,
-        entry=task.request.entry,
-        profile_digest="d",
-        hot_loops=loops,
-        answers=[summary for summary in
-                 (fallback_answer(task.request.name, task.request.system,
-                                  name) for name in loops)],
-        busy_s=0.01,
-    )
+def _canned_result(task: LoopTask) -> LoopTaskResult:
+    """A worker reply with no analysis behind it: a discovery task
+    reports the request's loops (or one default loop) as the hot
+    roster; a loop task answers its loop as computed."""
+    request = task.request
+    result = LoopTaskResult(
+        version_key=request.version_key(), workload=request.name,
+        system=request.system, entry=request.entry, loop=task.loop,
+        hot_loops=request.loops or ("@main:%loop",), busy_s=0.01)
+    if task.loop is not None:
+        result.answer = replace(
+            fallback_answer(request.name, request.system, task.loop),
+            status=STATUS_COMPUTED)
+    return result
 
 
 class TestScheduler:
@@ -426,12 +429,16 @@ class TestScheduler:
             return _canned_result(task)
 
         scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="shard", shard_runner=runner)
+                                   loop_runner=runner)
         a = AnalysisRequest("a", make_source(), system="caf")
         b = AnalysisRequest("b", make_source(), system="caf")  # same key
         c = AnalysisRequest("c", make_source(iters=80), system="caf")
         results = scheduler.run_batch([a, b, c])
-        assert len(calls) == 2
+        # One discovery ("*") and one loop task per distinct key: the
+        # duplicate rides on its twin's tasks.
+        assert sorted((t.request.name, t.loop or "*") for t in calls) == [
+            ("a", "*"), ("a", "@main:%loop"),
+            ("c", "*"), ("c", "@main:%loop")]
         assert scheduler.telemetry.shards_deduplicated == 1
         assert len(results) == 3
         assert identities(results[0]) == identities(results[1])
@@ -441,7 +448,7 @@ class TestScheduler:
             raise RuntimeError("worker died")
 
         scheduler = BatchScheduler(workers=1, executor="thread",
-                                   mode="shard", shard_runner=runner)
+                                   loop_runner=runner)
         request = AnalysisRequest("a", make_source(), system="caf",
                                   loops=("@main:%loop",))
         [answers] = scheduler.run_batch([request])
@@ -456,62 +463,71 @@ class TestScheduler:
             return _canned_result(task)
 
         scheduler = BatchScheduler(workers=1, executor="thread",
-                                   mode="shard", shard_runner=runner)
+                                   loop_runner=runner)
         good = AnalysisRequest("good", make_source(), system="caf")
         bad = AnalysisRequest("bad", make_source(iters=80), system="caf",
                               loops=("@main:%loop",))
         answers = scheduler.run_batch([good, bad])
-        assert len(answers[0]) == 1
+        assert [a.status for a in answers[0]] == [STATUS_COMPUTED]
         assert [a.status for a in answers[1]] == [STATUS_FALLBACK]
         scheduler.close()
 
     def test_shard_timeout_degrades(self):
+        """A task past ``task_timeout_s`` falls back for its own loop
+        only; its worker lane is rebuilt and the other loops compute."""
         def runner(task):
-            time.sleep(0.5)
+            if task.loop == "slow":
+                time.sleep(1.0)
             return _canned_result(task)
 
-        scheduler = BatchScheduler(workers=1, executor="thread",
-                                   shard_timeout_s=0.05,
-                                   mode="shard", shard_runner=runner)
+        scheduler = BatchScheduler(workers=2, executor="thread",
+                                   task_timeout_s=0.25, loop_runner=runner)
         request = AnalysisRequest("a", make_source(), system="caf",
-                                  loops=("@main:%loop",))
+                                  loops=("fast1", "slow", "fast2"))
         [answers] = scheduler.run_batch([request])
-        assert [a.status for a in answers] == [STATUS_FALLBACK]
-        assert scheduler.telemetry.shards_timed_out == 1
         scheduler.close()
+        assert {a.loop: a.status for a in answers} == {
+            "fast1": STATUS_COMPUTED, "slow": STATUS_FALLBACK,
+            "fast2": STATUS_COMPUTED}
+        snap = scheduler.telemetry.snapshot()
+        assert snap.shards_timed_out == 1
+        assert snap.loops_fallback == 1
+        assert snap.fleet_rebuilds == 1
 
     def test_bounded_inflight_backpressure(self):
+        """Each worker lane holds one task, so tasks in flight never
+        exceed ``workers`` however deep the queue is."""
+        lock = threading.Lock()
+        running, peak = [0], [0]
+
         def runner(task):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0.02)
+            with lock:
+                running[0] -= 1
             return _canned_result(task)
 
-        scheduler = BatchScheduler(workers=2, executor="inline",
-                                   max_pending_shards=1,
-                                   mode="shard", shard_runner=runner)
+        scheduler = BatchScheduler(workers=2, executor="thread",
+                                   loop_runner=runner)
         requests = [AnalysisRequest(f"r{i}", make_source(iters=55 + i),
-                                    system="caf") for i in range(5)]
+                                    system="caf",
+                                    loops=("l1", "l2", "l3"))
+                    for i in range(4)]
         scheduler.run_batch(requests)
-        assert scheduler.telemetry.shards_dispatched == 5
-        assert scheduler.telemetry.max_queue_depth <= 1
-
-    def test_init_rejects_non_positive_limits(self):
-        """An explicit 0 (or negative) limit is a configuration error,
-        not a request for the default."""
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="max_pending_shards"):
-                BatchScheduler(workers=2, executor="inline",
-                               max_pending_shards=bad)
-            with pytest.raises(ValueError, match="max_shards_per_request"):
-                BatchScheduler(workers=2, executor="inline",
-                               max_shards_per_request=bad)
-        # None still means "derive from workers".
-        scheduler = BatchScheduler(workers=3, executor="inline")
-        assert scheduler.max_pending_shards == 6
-        assert scheduler.max_shards_per_request == 3
+        scheduler.close()
+        snap = scheduler.telemetry.snapshot()
+        assert snap.loop_tasks_dispatched == 12
+        assert 1 <= peak[0] <= 2
+        # The in-flight gauge: both lanes fill on the first dispatch
+        # round, and never more than that.
+        assert snap.max_queue_depth == 2
 
     def test_inline_executor_propagates_interrupts(self):
         """KeyboardInterrupt/SystemExit must escape; ordinary task
         errors surface through the future like a real pool."""
-        from repro.service.scheduler import _InlineExecutor
+        from repro.service.engine import _InlineExecutor
         executor = _InlineExecutor()
 
         def interrupt():
@@ -526,21 +542,22 @@ class TestScheduler:
             future.result()
 
     def test_loop_sharding_splits_known_rosters(self):
+        """A known roster needs no discovery task: every loop becomes
+        its own task."""
         seen = []
 
         def runner(task):
-            seen.append(task.loops)
+            seen.append(task.loop)
             return _canned_result(task)
 
         scheduler = BatchScheduler(workers=4, executor="inline",
-                                   max_shards_per_request=4,
-                                   mode="shard", shard_runner=runner)
+                                   loop_runner=runner)
         request = AnalysisRequest("a", make_source(), system="caf",
                                   loops=("l1", "l2", "l3", "l4"))
-        scheduler.run_batch([request])
-        assert len(seen) == 4
-        assert sorted(l for chunk in seen for l in chunk) == \
-            ["l1", "l2", "l3", "l4"]
+        [answers] = scheduler.run_batch([request])
+        assert sorted(seen) == ["l1", "l2", "l3", "l4"]
+        assert [a.loop for a in answers] == ["l1", "l2", "l3", "l4"]
+        assert scheduler.telemetry.discovery_tasks == 0
 
 
 # -- end-to-end --------------------------------------------------------------
@@ -853,9 +870,10 @@ class TestScopedFootprints:
         request = AnalysisRequest(
             "scoped", SCOPED_LOOPS_SOURCE.format(extra="", iters=60),
             system="scaf")
-        result = run_shard(ShardTask(request))
-        assert result.footprints
-        for loop, footprint in result.footprints.items():
+        roster = run_loop_task(LoopTask(request)).hot_loops
+        assert roster
+        for loop in roster:
+            footprint = run_loop_task(LoopTask(request, loop)).footprint
             assert SCOPED_FOOTPRINT_SENTINEL in footprint
             assert any(n.startswith("global:") for n in footprint)
 

@@ -1,15 +1,14 @@
-"""Queue-mode scheduler tests: the loop-granular global work queue,
-the worker-resident prepared-module cache, crash recovery, and the
+"""Work-queue tests: the loop-granular global work queue, the
+worker-resident prepared-module cache, crash recovery, and the
 zero-interpretation roster-reuse fast path.
 
-Shard-mode behavior (and the queue/shard shared plumbing: dedup,
-cache probe, degradation counters) is covered in test_service.py;
-this file pins what is *specific* to the queue rewrite:
+The scheduler plumbing exercised with canned runners (dedup, cache
+probe, degradation counters, the task deadline) is covered in
+test_service.py, which also checks the queue against the sequential
+path on generated programs.  This file pins:
 
-- queue mode and legacy shard mode return identical answers on all
-  four systems (property test);
 - a worker death mid-queue degrades only the dead task's loop, the
-  executor is rebuilt, and the rest of the queue completes;
+  worker lane is rebuilt, and the rest of the queue completes;
 - K loop tasks of one module on one worker pay module setup
   (parse + verify + profile) exactly once;
 - prepared-cache hits are not re-billed setup time, and the
@@ -17,13 +16,15 @@ this file pins what is *specific* to the queue rewrite:
 - a provably-execution-preserving edit reuses the prior hot-loop
   roster with zero interpretation;
 - the traced queue timeline nests loop tasks under dispatch spans
-  with queue-wait and prepared-cache attributes.
+  with queue-wait and prepared-cache attributes;
+- LPT order across modules, with a deterministic ``(module, loop)``
+  tie-break.
 """
 
 import threading
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.service.scheduler as scheduler_mod
 import repro.service.worker as worker_mod
@@ -40,8 +41,8 @@ from repro.service import (
     reset_prepared_cache,
     run_loop_task,
 )
-
-SYSTEMS = ("caf", "confluence", "scaf", "memory-speculation")
+from repro.service.engine import Ticket, WorkEngine, lpt_weight
+from repro.service.telemetry import ServiceTelemetry
 
 
 @pytest.fixture(autouse=True)
@@ -113,46 +114,13 @@ def identities(answer_lists):
     return [[a.identity() for a in answers] for answers in answer_lists]
 
 
-# -- queue mode == shard mode (the correctness gate) -------------------------
-
-class TestQueueShardEquivalence:
-    @settings(max_examples=12, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(system=st.sampled_from(SYSTEMS),
-           step1=st.integers(min_value=1, max_value=3),
-           step2=st.integers(min_value=1, max_value=3),
-           dup=st.booleans())
-    def test_property_queue_equals_shard(self, system, step1, step2, dup):
-        """For every analysis system and module shape, the global work
-        queue returns the same answers (loop for loop, pair for pair)
-        as the legacy per-request shard fan-out."""
-        requests = [AnalysisRequest(
-            "q", two_loop_source(step1=step1, step2=step2), system=system)]
-        if dup:
-            requests.append(requests[0])
-
-        reset_prepared_cache()
-        queue_sched = BatchScheduler(workers=0, executor="inline",
-                                     mode="queue")
-        queued = queue_sched.run_batch(requests)
-        assert queue_sched.telemetry.snapshot().loop_tasks_dispatched > 0
-
-        reset_prepared_cache()
-        shard_sched = BatchScheduler(workers=0, executor="inline",
-                                     mode="shard")
-        sharded = shard_sched.run_batch(requests)
-        assert shard_sched.telemetry.snapshot().shards_dispatched > 0
-
-        assert identities(queued) == identities(sharded)
-
-
 # -- crash recovery ----------------------------------------------------------
 
 class TestCrashAndRebuild:
     def test_worker_death_mid_queue_degrades_one_loop(self):
         """Kill the worker on one specific loop task: that loop falls
-        back conservatively, the executor is rebuilt, and every other
-        task in the queue still completes with real answers."""
+        back conservatively, its lane is rebuilt, and every other task
+        in the queue still completes with real answers."""
         crashed = []
         lock = threading.Lock()
 
@@ -166,9 +134,7 @@ class TestCrashAndRebuild:
             return run_loop_task(task)
 
         scheduler = BatchScheduler(workers=2, executor="thread",
-                                   mode="queue", loop_runner=flaky_runner)
-        first_executor = scheduler_mod._make_executor  # sanity: importable
-        assert first_executor is not None
+                                   loop_runner=flaky_runner)
         requests = [
             AnalysisRequest("victim", two_loop_source(), system="scaf"),
             AnalysisRequest("bystander", two_loop_source(step1=2),
@@ -203,7 +169,7 @@ class TestCrashAndRebuild:
             raise RuntimeError("worker never came up")
 
         scheduler = BatchScheduler(workers=1, executor="thread",
-                                   mode="queue", loop_runner=dead_runner)
+                                   loop_runner=dead_runner)
         [answers] = scheduler.run_batch(
             [AnalysisRequest("doomed", two_loop_source(), system="scaf")])
         scheduler.close()
@@ -225,8 +191,7 @@ class TestPreparedModuleCache:
             worker_mod, "run_profilers",
             lambda *a, **k: profiled.append(1) or real_profilers(*a, **k))
 
-        scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue")
+        scheduler = BatchScheduler(workers=0, executor="inline")
         [answers] = scheduler.run_batch(
             [AnalysisRequest("once", two_loop_source(), system="scaf")])
 
@@ -244,7 +209,7 @@ class TestPreparedModuleCache:
 
     def test_lru_evicts_beyond_capacity(self):
         scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue", prepared_cache_size=1)
+                                   prepared_cache_size=1)
         requests = [
             AnalysisRequest(f"m{i}", two_loop_source(step1=i + 1),
                             system="caf")
@@ -268,8 +233,7 @@ class TestSetupAttribution:
         """Setup cost is attributed to the task that populated the
         prepared cache; later hits bill zero additional setup, and the
         busy/setup split reconciles (setup is a subset of busy)."""
-        scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue")
+        scheduler = BatchScheduler(workers=0, executor="inline")
         request = AnalysisRequest("bill", two_loop_source(), system="scaf")
         scheduler.run_batch([request])
         first = scheduler.telemetry.snapshot()
@@ -278,8 +242,7 @@ class TestSetupAttribution:
 
         # Same module again: the prepared cache is warm, so every task
         # hits and NO additional setup may be billed.
-        scheduler2 = BatchScheduler(workers=0, executor="inline",
-                                    mode="queue")
+        scheduler2 = BatchScheduler(workers=0, executor="inline")
         scheduler2.run_batch([request])
         second = scheduler2.telemetry.snapshot()
         assert second.prepared_misses == 0
@@ -288,8 +251,7 @@ class TestSetupAttribution:
         assert second.busy_s > 0.0
 
     def test_utilization_report_reconciles(self):
-        scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue")
+        scheduler = BatchScheduler(workers=0, executor="inline")
         scheduler.run_batch(
             [AnalysisRequest("recon", two_loop_source(), system="scaf")])
         snap = scheduler.telemetry.snapshot()
@@ -304,7 +266,7 @@ class TestSetupAttribution:
 class TestRosterReuse:
     def _run(self, source, cache, monkeypatch=None, forbid_interp=False):
         scheduler = BatchScheduler(workers=0, executor="inline",
-                                   mode="queue", cache=cache)
+                                   cache=cache)
         if forbid_interp:
             def _boom(*a, **k):
                 raise AssertionError(
@@ -367,8 +329,7 @@ class TestQueueTracing:
         tracer = TraceContext(sample_every=1)
         set_tracer(tracer)
         try:
-            scheduler = BatchScheduler(workers=0, executor="inline",
-                                       mode="queue")
+            scheduler = BatchScheduler(workers=0, executor="inline")
             scheduler.run_batch([
                 AnalysisRequest("t1", two_loop_source(), system="scaf"),
                 AnalysisRequest("t2", two_loop_source(step1=2),
@@ -416,6 +377,30 @@ class _FakeTask:
         self.loop = loop
 
 
+def _execution_order(specs):
+    """Enqueue ``(workload, loop, weight)`` tickets in one submit on a
+    single-lane engine and return the ``(workload, loop)`` order the
+    runner saw them in."""
+    order, outcomes = [], []
+
+    def runner(task):
+        order.append((task.request.name, task.loop))
+        return SimpleNamespace(prepared_hit=False, spans=[])
+
+    engine = WorkEngine("inline", 0, telemetry=ServiceTelemetry(1),
+                        loop_runner=runner)
+    try:
+        engine.submit([
+            Ticket(_FakeTask(workload, loop), key=workload, weight=weight,
+                   deliver=lambda t, o, r, e: outcomes.append(o))
+            for workload, loop, weight in specs])
+        assert engine.drain(timeout_s=10.0)
+    finally:
+        engine.close()
+    assert all(o == "ok" for o in outcomes)
+    return order
+
+
 class TestLptOrdering:
     """The cross-module priority fix: LPT ranks by *absolute*
     instruction volume (fraction x module total), not by the raw
@@ -423,8 +408,6 @@ class TestLptOrdering:
     module."""
 
     def test_lpt_weight_scales_fraction_by_module_size(self):
-        from repro.service.engine import lpt_weight
-
         tiny = lpt_weight(0.9, 5_000)        # 90% of a toy run
         huge = lpt_weight(0.125, 2_000_000)  # 12.5% of a massive run
         assert huge > tiny
@@ -433,35 +416,11 @@ class TestLptOrdering:
         assert lpt_weight(0.9, 0) == pytest.approx(0.9)
         assert lpt_weight(0.4, 0) < lpt_weight(0.9, 0)
 
-    def _execution_order(self, specs):
-        """Enqueue (workload, loop, fraction, total) tickets in one
-        submit on a single-slot engine and return the order the
-        runner saw them."""
-        from types import SimpleNamespace
-
-        from repro.service.engine import Ticket, WorkEngine, lpt_weight
-        from repro.service.telemetry import ServiceTelemetry
-
-        order, outcomes = [], []
-
-        def runner(task):
-            order.append(task.loop)
-            return SimpleNamespace(prepared_hit=False, spans=[])
-
-        engine = WorkEngine("inline", 0, max_pending=1,
-                            telemetry=ServiceTelemetry(1),
-                            loop_runner=runner)
-        try:
-            engine.submit([
-                Ticket(_FakeTask(workload, loop), key=workload,
-                       weight=lpt_weight(fraction, total),
-                       deliver=lambda t, o, r, e: outcomes.append(o))
-                for workload, loop, fraction, total in specs])
-            assert engine.drain(timeout_s=10.0)
-        finally:
-            engine.close()
-        assert all(o == "ok" for o in outcomes)
-        return order
+    def _loop_order(self, specs):
+        """Run (workload, loop, fraction, total) specs; loop order."""
+        return [loop for _, loop in _execution_order(
+            [(workload, loop, lpt_weight(fraction, total))
+             for workload, loop, fraction, total in specs])]
 
     def test_huge_module_loops_run_before_tinier_high_fractions(self):
         specs = [
@@ -470,8 +429,7 @@ class TestLptOrdering:
             ("tiny1", "@t1", 0.9, 5_000),
             ("huge", "@h1", 0.125, 2_000_000),
         ]
-        order = self._execution_order(specs)
-        assert order == ["@h0", "@h1", "@t0", "@t1"]
+        assert self._loop_order(specs) == ["@h0", "@h1", "@t0", "@t1"]
 
     def test_zero_totals_fall_back_to_fraction_order(self):
         specs = [
@@ -479,4 +437,24 @@ class TestLptOrdering:
             ("b", "@big", 0.8, 0),
             ("c", "@mid", 0.5, 0),
         ]
-        assert self._execution_order(specs) == ["@big", "@mid", "@small"]
+        assert self._loop_order(specs) == ["@big", "@mid", "@small"]
+
+
+class TestDeterministicTieBreak:
+    def test_equal_weights_break_by_module_then_loop(self):
+        """Ties resolve ``(module, loop)`` — a property of the ticket
+        *contents*, so it holds under any hash seed and any
+        submission order (a sequence-number tie-break would freeze
+        whatever order the fan-out loop happened to iterate keys in)."""
+        specs = [(m, loop, 7.5)
+                 for m in ("zeta", "alpha", "mid")
+                 for loop in ("@b:%l", "@a:%l")]
+        expected = sorted((m, loop) for m, loop, _ in specs)
+        assert _execution_order(specs) == expected
+        assert _execution_order(list(reversed(specs))) == expected
+
+    def test_weight_still_dominates_the_tie_break(self):
+        specs = [("zzz", "@z:%l", 9.0), ("aaa", "@a:%l", 1.0),
+                 ("mmm", "@m:%l", 5.0)]
+        assert _execution_order(specs) == [
+            ("zzz", "@z:%l"), ("mmm", "@m:%l"), ("aaa", "@a:%l")]
