@@ -43,7 +43,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from typing import List, Optional
 
 from .analysis import AnalysisContext
@@ -55,7 +54,13 @@ from .core.framework import (
     build_scaf,
 )
 from .interp import CompiledInterpreter, make_interpreter
-from .ir import format_module, parse_module, verify_module
+from .ir import (
+    ParseError,
+    VerificationError,
+    format_module,
+    parse_module,
+    verify_module,
+)
 from .profiling import run_profilers
 
 SYSTEM_BUILDERS = {
@@ -66,16 +71,28 @@ SYSTEM_BUILDERS = {
 }
 
 
-def _load(path: str):
-    with open(path) as f:
-        text = f.read()
-    module = parse_module(text, name=path)
-    verify_module(module)
-    return module
+def _load(args):
+    """Parse and verify ``args.file``; a missing, unparseable or
+    invalid file prints ``repro <command>: <path>: <reason>`` on
+    stderr and exits 2."""
+    path = args.file
+    try:
+        with open(path) as f:
+            text = f.read()
+        module = parse_module(text, name=path)
+        verify_module(module)
+    except OSError as exc:
+        reason = exc.strerror or exc
+    except (ParseError, VerificationError) as exc:
+        reason = exc
+    else:
+        return module
+    print(f"repro {args.command}: {path}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def cmd_run(args) -> int:
-    module = _load(args.file)
+    module = _load(args)
     interp = make_interpreter(module)
     result = interp.run(args.entry)
     engine = "compiled" if isinstance(interp, CompiledInterpreter) \
@@ -87,7 +104,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    module = _load(args.file)
+    module = _load(args)
     sys.stdout.write(format_module(module))
     return 0
 
@@ -128,7 +145,7 @@ def _profile_document(args, module, profiles) -> dict:
 
 
 def cmd_profile(args) -> int:
-    module = _load(args.file)
+    module = _load(args)
     context = AnalysisContext(module)
     profiles = run_profilers(module, context, entry=args.entry)
     if args.json:
@@ -165,13 +182,6 @@ def cmd_profile(args) -> int:
             print(f"\nseparation candidates in {h.name}: "
                   f"{len(ro)} read-only, {len(sl)} short-lived sites")
     return 0
-
-
-def _snapshot_dict(snap) -> dict:
-    doc = asdict(snap)
-    doc["cache_hit_rate"] = snap.cache_hit_rate
-    doc["worker_utilization"] = snap.worker_utilization
-    return doc
 
 
 def _start_trace(args):
@@ -260,7 +270,7 @@ def _analyze_via_service(args) -> int:
             "entry": args.entry,
             "system": args.system,
             "loops": [loop_answer_to_dict(a) for a in answers],
-            "telemetry": _snapshot_dict(snapshot),
+            "telemetry": snapshot.to_dict(),
         }, indent=2, default=str))
     else:
         _print_loop_answers(answers, args.system, args.deps, args.all)
@@ -283,7 +293,7 @@ def _cmd_analyze(args) -> int:
     if args.workers is not None or args.cache_dir:
         return _analyze_via_service(args)
 
-    module = _load(args.file)
+    module = _load(args)
     context = AnalysisContext(module)
     profiles = run_profilers(module, context, entry=args.entry)
     system = SYSTEM_BUILDERS[args.system](module, context, profiles)
@@ -368,7 +378,6 @@ def _service_config(args):
         cache_dir=args.cache_dir,
         cache_l2=_cache_l2(args),
         task_timeout_s=args.timeout,
-        incremental=not args.no_incremental,
         prepared_cache_size=args.prepared_cache_size,
         idle_ttl_s=getattr(args, "idle_ttl", None))
 
@@ -404,21 +413,15 @@ def _requests_for_targets(command: str, args) -> Optional[list]:
     return requests
 
 
-def _snapshot_from_dict(doc: dict):
-    """Rehydrate a TelemetrySnapshot from its wire dict (daemon
-    ``stats``), ignoring the derived-rate extras."""
-    from dataclasses import fields
-    from .service import TelemetrySnapshot
-    names = {f.name for f in fields(TelemetrySnapshot)}
-    return TelemetrySnapshot(**{k: v for k, v in doc.items()
-                                if k in names})
-
-
 def _batch_via_daemon(args, requests, addr: str) -> Optional[int]:
     """Run the batch on a resident daemon; ``None`` means the daemon
     was unreachable and the caller should fall back in-process."""
     from .daemon import DaemonClient, DaemonError
-    from .service import format_report, loop_answer_to_dict
+    from .service import (
+        TelemetrySnapshot,
+        format_report,
+        loop_answer_to_dict,
+    )
 
     try:
         client = DaemonClient(addr)
@@ -454,7 +457,7 @@ def _batch_via_daemon(args, requests, addr: str) -> Optional[int]:
         _print_loop_answers(group, request.system,
                             prefix=f"{request.name}/")
     print()
-    print(format_report(_snapshot_from_dict(stats["telemetry"])))
+    print(format_report(TelemetrySnapshot.from_dict(stats["telemetry"])))
     print(f"  batch wall-clock {wall_s:.2f}s "
           f"(served by daemon at {addr})")
     return 0
@@ -496,7 +499,7 @@ def _cmd_batch(args) -> int:
             "system": args.system,
             "wall_s": wall_s,
             "loops": [loop_answer_to_dict(a) for a in batch.flat()],
-            "telemetry": _snapshot_dict(batch.telemetry),
+            "telemetry": batch.telemetry.to_dict(),
         }, indent=2, default=str))
         return 0
 
@@ -610,7 +613,8 @@ def _default_daemon_addr() -> str:
 def _stats_via_daemon(args, addr: str) -> int:
     """``repro stats --daemon``: read a live daemon over its socket."""
     from .daemon import DaemonClient, DaemonError
-    from .service import format_report
+    from .obs import render_top
+    from .service import TelemetrySnapshot, format_report
 
     try:
         with DaemonClient(addr) as client:
@@ -638,36 +642,9 @@ def _stats_via_daemon(args, addr: str) -> int:
     if args.json:
         print(json.dumps(stats, indent=2, default=str))
         return 0
-    d = stats["daemon"]
-    print(f"daemon at {d['addr']} (pid {d['pid']}, protocol "
-          f"{d['protocol']}, up {d['uptime_s']:.1f}s)")
-    print(f"  sessions {d['sessions']}, jobs active {d['jobs_active']} "
-          f"/ completed {d['jobs_completed']} / shed {d['jobs_shed']}, "
-          f"queue depth {d['queue_depth']}"
-          + (", draining" if d["draining"] else ""))
+    print(render_top(stats))
     print()
-    print(format_report(_snapshot_from_dict(stats["telemetry"])))
-    clients = stats.get("clients") or {}
-    if clients:
-        print()
-        print("per-client attribution")
-        print("----------------------")
-        for tag in sorted(clients):
-            c = clients[tag]
-            p95 = c.get("batch_latency", {}).get("p95_s", 0.0)
-            print(f"  {tag:<16s} {int(c.get('requests', 0))} requests, "
-                  f"{int(c.get('answers', 0))} answers, "
-                  f"{int(c.get('batches', 0))} batches, "
-                  f"{int(c.get('sheds', 0))} sheds, "
-                  f"batch p95 {p95 * 1e3:.1f}ms")
-    flight = stats.get("flight") or {}
-    if flight.get("recorded"):
-        print()
-        print(f"flight recorder: {flight['spans']}/{flight['capacity']} "
-              f"spans held, {flight['slow']} slow "
-              f"(threshold {flight['slow_threshold_s']:.2f}s), "
-              f"{flight['evicted']} evicted "
-              f"(--flight dumps the ring as JSON)")
+    print(format_report(TelemetrySnapshot.from_dict(stats["telemetry"])))
     return 0
 
 
@@ -761,9 +738,6 @@ def _service_options() -> argparse.ArgumentParser:
                              "works too); requires --cache-dir")
     parent.add_argument("--timeout", type=float, default=None,
                         help="per-task deadline in seconds")
-    parent.add_argument("--no-incremental", action="store_true",
-                        help="disable footprint-based incremental reuse "
-                             "of cached answers across module edits")
     parent.add_argument("--prepared-cache-size", type=int, default=None,
                         metavar="N",
                         help="worker-resident prepared-module LRU "
@@ -789,9 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a textual-IR program")
     p_run.add_argument("file")
     p_run.add_argument("--entry", default="main")
-    p_run.add_argument("--no-compile", action="store_true",
-                       help="force the tree-walking interpreter (skip "
-                            "closure compilation)")
     p_run.set_defaults(func=cmd_run)
 
     p_fmt = sub.add_parser("fmt", help="parse, verify, pretty-print")
@@ -803,9 +774,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--entry", default="main")
     p_prof.add_argument("--json", action="store_true",
                         help="machine-readable profiler summary")
-    p_prof.add_argument("--no-compile", action="store_true",
-                        help="force the tree-walking interpreter (skip "
-                             "closure compilation)")
     p_prof.set_defaults(func=cmd_profile)
 
     service_options = _service_options()
@@ -822,9 +790,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="with --deps, also list removed dependences")
     p_an.add_argument("--json", action="store_true",
                       help="emit the service's LoopAnswer schema")
-    p_an.add_argument("--no-compile", action="store_true",
-                      help="force the tree-walking interpreter (skip "
-                           "closure compilation)")
     p_an.set_defaults(func=cmd_analyze)
 
     p_batch = sub.add_parser(
@@ -848,9 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "REPRO_DAEMON environment variable works "
                               "too); falls back to the in-process pool "
                               "if unreachable")
-    p_batch.add_argument("--no-compile", action="store_true",
-                         help="force the tree-walking interpreter "
-                              "(skip closure compilation)")
     p_batch.set_defaults(func=cmd_batch)
 
     p_serve = sub.add_parser(
@@ -897,9 +859,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit NDJSON lifecycle events (sheds, "
                               "recycles, L2 cooldowns, drain) on "
                               "stderr")
-    p_serve.add_argument("--no-compile", action="store_true",
-                         help="force the tree-walking interpreter "
-                              "(skip closure compilation)")
     p_serve.set_defaults(func=cmd_serve)
 
     p_submit = sub.add_parser(
@@ -970,10 +929,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "no_compile", False):
-        # The env var (not set_compilation_enabled) so the choice
-        # survives into ProcessPoolExecutor workers.
-        os.environ["REPRO_NO_COMPILE"] = "1"
     return args.func(args)
 
 

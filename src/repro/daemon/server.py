@@ -48,7 +48,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..obs.expo import render_prometheus, window_gauges
@@ -165,8 +165,6 @@ class AnalysisDaemon:
         self._session_jobs: Dict[str, set] = {}
         self._job_serial = 0
         self._session_serial = 0
-        self._jobs_completed = 0
-        self._jobs_shed = 0
         self._draining = False
         self._drain_task: Optional[asyncio.Task] = None
         self._started_at = time.perf_counter()
@@ -196,6 +194,12 @@ class AnalysisDaemon:
             auto_dump_path=self.config.flight_dump_path,
             log=self.log)
         self.service.telemetry.attach_live(self.live)
+        # Job counts live in the service registry, one writer each:
+        # submit raises the gauge, the job's finish lowers it.
+        registry = self.service.telemetry.registry
+        self._jobs_active = registry.gauge("daemon_jobs_active")
+        self._jobs_done = registry.counter("daemon_jobs_completed")
+        self._sheds = registry.counter("daemon_jobs_shed")
         cache = getattr(self.service, "cache", None)
         if cache is not None and hasattr(cache, "on_event"):
             # TieredCache: L2 cooldown entry/exit becomes log events.
@@ -276,10 +280,10 @@ class AnalysisDaemon:
                     pass
             self._pool.shutdown(wait=False)
             if self._root_span is not None:
-                self._root_span.end(jobs=self._jobs_completed)
+                self._root_span.end(jobs=self._jobs_done.value)
             self.service.close()
-            self.log.event("daemon_exit", jobs=self._jobs_completed,
-                           sheds=self._jobs_shed)
+            self.log.event("daemon_exit", jobs=self._jobs_done.value,
+                           sheds=self._sheds.value)
 
     # -- session handling ----------------------------------------------------
 
@@ -426,6 +430,7 @@ class AnalysisDaemon:
         job = _Job(f"j{self._job_serial}", session, requests, self._loop)
         self._jobs[job.id] = job
         self._session_jobs.setdefault(session, set()).add(job.id)
+        self._jobs_active.inc()
         registry = self.service.telemetry.registry
         registry.counter("client_requests",
                          client=self._tag(session)).inc(len(requests))
@@ -529,7 +534,8 @@ class AnalysisDaemon:
             self._loop.call_soon_threadsafe(self._finish_job, job)
 
     def _finish_job(self, job: _Job) -> None:
-        self._jobs_completed += 1
+        self._jobs_active.dec()
+        self._jobs_done.inc()
         active = self._session_jobs.get(job.session)
         if active is not None:
             active.discard(job.id)
@@ -553,7 +559,7 @@ class AnalysisDaemon:
     def _shed(self, session: str, kind: str) -> None:
         """One admission shed: global count, per-client series, and
         the live window/log."""
-        self._jobs_shed += 1
+        self._sheds.inc()
         tag = self._tag(session)
         self.service.telemetry.registry.counter(
             "client_sheds", client=tag).inc()
@@ -570,9 +576,7 @@ class AnalysisDaemon:
         if self._draining:
             return
         self._draining = True
-        self.log.event("drain_begin",
-                       jobs_active=sum(1 for j in self._jobs.values()
-                                       if j.status == JOB_RUNNING))
+        self.log.event("drain_begin", jobs_active=self._jobs_active.value)
         self._drain_task = asyncio.ensure_future(self._drain_and_exit())
 
     async def _drain_and_exit(self) -> None:
@@ -587,9 +591,7 @@ class AnalysisDaemon:
                 await asyncio.wait_for(job.done.wait(), timeout=remaining)
             except asyncio.TimeoutError:
                 break
-        stranded = sum(1 for j in self._jobs.values()
-                       if j.status == JOB_RUNNING)
-        self.log.event("drain_end", stranded=stranded)
+        self.log.event("drain_end", stranded=self._jobs_active.value)
         if self.config.flight_dump_path:
             try:
                 self.live.recorder.dump_to_file(
@@ -600,33 +602,40 @@ class AnalysisDaemon:
 
     # -- stats ---------------------------------------------------------------
 
+    def _read_time(self) -> dict:
+        """The values a reader gets at request time rather than from
+        the registry: uptime, sessions, engine queue depth, draining,
+        and the flight recorder's counts.  ``stats``, ``/healthz`` and
+        ``/metrics`` all take them from here."""
+        return {
+            "uptime_s": time.perf_counter() - self._started_at,
+            "sessions": len(self._session_jobs),
+            "queue_depth": self.service.scheduler.engine.depth(),
+            "draining": self._draining,
+            "flight": self.live.recorder.counts(),
+        }
+
     def _stats(self) -> dict:
-        snap = self.service.snapshot()
-        doc = asdict(snap)
-        doc["cache_hit_rate"] = snap.cache_hit_rate
-        doc["prepared_hit_rate"] = snap.prepared_hit_rate
-        doc["worker_utilization"] = snap.worker_utilization
-        active = sum(1 for j in self._jobs.values()
-                     if j.status == JOB_RUNNING)
+        now = self._read_time()
         return {
             "daemon": {
                 "addr": self.bound_addr,
                 "pid": os.getpid(),
                 "protocol": protocol.PROTOCOL_VERSION,
-                "uptime_s": time.perf_counter() - self._started_at,
-                "draining": self._draining,
-                "sessions": len(self._session_jobs),
-                "jobs_active": active,
-                "jobs_completed": self._jobs_completed,
-                "jobs_shed": self._jobs_shed,
-                "queue_depth": self.service.scheduler.engine.depth(),
+                "uptime_s": now["uptime_s"],
+                "draining": now["draining"],
+                "sessions": now["sessions"],
+                "jobs_active": self._jobs_active.value,
+                "jobs_completed": self._jobs_done.value,
+                "jobs_shed": self._sheds.value,
+                "queue_depth": now["queue_depth"],
                 "workers": self.config.service.workers,
                 "executor": self.config.service.executor,
                 "metrics_addr": self.metrics_addr,
             },
-            "telemetry": doc,
+            "telemetry": self.service.snapshot().to_dict(),
             "window": self.live.window.snapshot(),
-            "flight": self.live.recorder.counts(),
+            "flight": now["flight"],
             "clients": self._client_stats(),
         }
 
@@ -655,32 +664,24 @@ class AnalysisDaemon:
 
     def _render_metrics(self) -> str:
         """The whole observable state as Prometheus exposition text:
-        the service registry plus daemon bookkeeping and the rolling
-        window's rates/percentiles (as plain gauges)."""
-        extra_gauges = dict(window_gauges(self.live.window.snapshot()))
-        active = sum(1 for j in self._jobs.values()
-                     if j.status == JOB_RUNNING)
-        flight = self.live.recorder.counts()
-        extra_gauges.update({
-            "daemon_uptime_s":
-                time.perf_counter() - self._started_at,
-            "daemon_sessions": float(len(self._session_jobs)),
-            "daemon_jobs_active": float(active),
-            "daemon_queue_depth":
-                float(self.service.scheduler.engine.depth()),
-            "daemon_draining": 1.0 if self._draining else 0.0,
+        the service registry (daemon job counts included) plus the
+        read-time values and the rolling window's rates/percentiles
+        as plain gauges."""
+        now = self._read_time()
+        flight = now["flight"]
+        gauges = window_gauges(self.live.window.snapshot())
+        gauges.update({
+            "daemon_uptime_s": now["uptime_s"],
+            "daemon_sessions": float(now["sessions"]),
+            "daemon_queue_depth": float(now["queue_depth"]),
+            "daemon_draining": 1.0 if now["draining"] else 0.0,
             "flight_spans": float(flight["spans"]),
             "flight_slow": float(flight["slow"]),
             "flight_evicted": float(flight["evicted"]),
         })
-        extra_counters = {
-            "daemon_jobs_completed": float(self._jobs_completed),
-            "daemon_jobs_shed": float(self._jobs_shed),
-        }
         return render_prometheus(
             self.service.telemetry.registry.snapshot(),
-            extra_counters=extra_counters,
-            extra_gauges=extra_gauges)
+            extra_gauges=gauges)
 
     # -- plain-HTTP metrics listener -----------------------------------------
 
@@ -688,14 +689,14 @@ class AnalysisDaemon:
         """``(status_code, body_dict)`` for ``GET /healthz``: 200
         while serving, 503 once draining (so load balancers and
         scrape targets fall off before the socket closes)."""
-        status = 503 if self._draining else 200
-        return status, {
-            "status": "draining" if self._draining else "ok",
+        now = self._read_time()
+        draining = now["draining"]
+        return 503 if draining else 200, {
+            "status": "draining" if draining else "ok",
             "addr": self.bound_addr,
             "pid": os.getpid(),
-            "uptime_s": time.perf_counter() - self._started_at,
-            "jobs_active": sum(1 for j in self._jobs.values()
-                               if j.status == JOB_RUNNING),
+            "uptime_s": now["uptime_s"],
+            "jobs_active": self._jobs_active.value,
         }
 
     async def _handle_http(self, reader: asyncio.StreamReader,

@@ -5,10 +5,8 @@ from .compile import (
     CompiledModule,
     CompileError,
     cached_compiled_module,
-    compilation_enabled,
     compile_module,
     make_interpreter,
-    set_compilation_enabled,
 )
 from .hooks import ExecutionListener, HookBus, LoopRecord
 from .interpreter import Interpreter, InterpreterError, LoopStats
@@ -23,8 +21,7 @@ from .memory import (
 
 __all__ = [
     "CompiledInterpreter", "CompiledModule", "CompileError",
-    "cached_compiled_module", "compilation_enabled", "compile_module",
-    "make_interpreter", "set_compilation_enabled",
+    "cached_compiled_module", "compile_module", "make_interpreter",
     "ExecutionListener", "HookBus", "LoopRecord",
     "Interpreter", "InterpreterError", "LoopStats",
     "GLOBAL_BASE", "HEAP_BASE", "MemoryFault", "MemoryObject",

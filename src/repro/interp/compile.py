@@ -34,7 +34,6 @@ back to the tree-walker.
 from __future__ import annotations
 
 import operator
-import os
 import struct
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -85,34 +84,6 @@ from .interpreter import (
 class CompileError(Exception):
     """The module uses a construct the closure compiler cannot model;
     callers must fall back to the tree-walking interpreter."""
-
-
-# -- engine selection ---------------------------------------------------------
-
-_FORCED: Optional[bool] = None
-
-_FALSY = ("", "0", "false", "no", "off")
-
-
-def compilation_enabled() -> bool:
-    """Whether new runs should use the compiled engine.
-
-    Process-local overrides (:func:`set_compilation_enabled`) win;
-    otherwise the ``REPRO_NO_COMPILE`` environment variable opts out.
-    The environment form is what ``--no-compile`` sets, so pool worker
-    processes inherit the choice.
-    """
-    if _FORCED is not None:
-        return _FORCED
-    return os.environ.get("REPRO_NO_COMPILE", "").strip().lower() in _FALSY
-
-
-def set_compilation_enabled(enabled: Optional[bool]) -> None:
-    """Force the engine choice for this process (``None`` = follow the
-    environment).  Pool coordinators forward their choice to worker
-    processes through the executor initializer."""
-    global _FORCED
-    _FORCED = enabled
 
 
 # -- compiled artifacts -------------------------------------------------------
@@ -1039,15 +1010,13 @@ class CompiledInterpreter(Interpreter):
 def make_interpreter(module: Module,
                      analysis: Optional[AnalysisContext] = None,
                      max_steps: int = 50_000_000,
-                     compile: Optional[bool] = None) -> Interpreter:
-    """The configured execution engine for one run.
+                     compile: bool = True) -> Interpreter:
+    """The execution engine for one run.
 
-    ``compile=None`` follows :func:`compilation_enabled`; an
-    uncompilable module silently falls back to the tree-walker (the
-    two are observably identical, compilation is purely a speed
-    choice)."""
-    if compile is None:
-        compile = compilation_enabled()
+    ``compile=False`` selects the tree-walking interpreter, the oracle
+    the compiled engine is tested against; an uncompilable module
+    silently falls back to it (the two are observably identical,
+    compilation is purely a speed choice)."""
     if compile:
         analysis = analysis or AnalysisContext(module)
         try:

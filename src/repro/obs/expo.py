@@ -98,22 +98,20 @@ def _group(series: Mapping) -> Dict[str, List[Tuple[Dict[str, str], object]]]:
 
 
 def render_prometheus(snapshot: Mapping, *, namespace: str = "repro",
-                      extra_counters: Optional[Mapping[str, float]] = None,
                       extra_gauges: Optional[Mapping[str, float]] = None
                       ) -> str:
     """Render a registry snapshot as Prometheus exposition text.
 
-    ``extra_counters`` / ``extra_gauges`` are flat
-    ``series_key -> value`` mappings merged in as additional counter /
-    gauge families — the daemon uses them for its own bookkeeping
-    (queue depth, session counts) and for the rolling-window
-    percentile gauges that have no registry instrument.
+    ``extra_gauges`` is a flat ``series_key -> value`` mapping merged
+    in as additional gauge families — the daemon uses it for values
+    it reads at request time (uptime, sessions, queue depth) and for
+    the rolling-window percentile gauges that have no registry
+    instrument.
     """
     lines: List[str] = []
 
-    counters = dict(snapshot.get("counters", {}))
-    counters.update(extra_counters or {})
-    for name, entries in sorted(_group(counters).items()):
+    for name, entries in sorted(_group(snapshot.get(
+            "counters", {})).items()):
         metric = _metric_name(namespace, name) + "_total"
         lines.append(f"# TYPE {metric} counter")
         for labels, value in entries:

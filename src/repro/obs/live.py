@@ -242,16 +242,20 @@ class FlightRecorder:
 
     def counts(self) -> Dict:
         with self._lock:
-            return {
-                "capacity": self.capacity,
-                "spans": len(self._ring),
-                "recorded": self._recorded,
-                "evicted": self._evicted,
-                "slow": self._slow_count,
-                "slow_held": len(self._slow),
-                "slow_threshold_s": self.slow_threshold_s,
-                "dumps": self._dumps,
-            }
+            return self._counts()
+
+    def _counts(self) -> Dict:
+        # Caller holds self._lock.
+        return {
+            "capacity": self.capacity,
+            "spans": len(self._ring),
+            "recorded": self._recorded,
+            "evicted": self._evicted,
+            "slow": self._slow_count,
+            "slow_held": len(self._slow),
+            "slow_threshold_s": self.slow_threshold_s,
+            "dumps": self._dumps,
+        }
 
     def dump(self, reason: str = "on_demand") -> Dict:
         """Snapshot everything the recorder holds right now."""
@@ -260,16 +264,7 @@ class FlightRecorder:
             return {
                 "reason": reason,
                 "captured_at": self._epoch_clock(),
-                "counts": {
-                    "capacity": self.capacity,
-                    "spans": len(self._ring),
-                    "recorded": self._recorded,
-                    "evicted": self._evicted,
-                    "slow": self._slow_count,
-                    "slow_held": len(self._slow),
-                    "slow_threshold_s": self.slow_threshold_s,
-                    "dumps": self._dumps,
-                },
+                "counts": self._counts(),
                 "spans": list(self._ring),
                 "slow": list(self._slow),
             }
@@ -420,6 +415,7 @@ def render_top(stats: Mapping) -> str:
     state = "DRAINING" if d.get("draining") else "serving"
     lines.append(
         f"repro top — {d.get('addr', '?')}  pid {d.get('pid', '?')}  "
+        f"protocol {d.get('protocol', '?')}  "
         f"up {d.get('uptime_s', 0.0):.1f}s  [{state}]")
     lines.append(
         f"fleet     {d.get('workers', '?')} workers "

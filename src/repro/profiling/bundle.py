@@ -43,16 +43,14 @@ def run_profilers(module: Module,
                   entry: str = "main",
                   args: Sequence[Union[int, float]] = (),
                   max_steps: int = 50_000_000,
-                  compile: Optional[bool] = None) -> ProfileBundle:
+                  compile: bool = True) -> ProfileBundle:
     """Execute ``entry`` once with every profiler attached.
 
     This is the offline training run of §2.2: the returned bundle is
     the only dynamic information the speculation modules ever see.
 
-    ``compile`` selects the execution engine: ``True`` forces the
-    closure-compiled engine, ``False`` the tree-walker, ``None``
-    (default) follows :func:`repro.interp.compilation_enabled`
-    (the ``--no-compile`` / ``REPRO_NO_COMPILE`` opt-out).  The
+    ``compile`` selects the execution engine: the closure-compiled
+    engine by default, the tree-walking oracle with ``False``.  The
     compiled artifact is memoized on ``analysis``, so repeat runs
     against a prepared module's context skip recompilation.
     """

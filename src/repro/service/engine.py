@@ -48,7 +48,6 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..interp import compilation_enabled, set_compilation_enabled
 from ..obs.trace import current_tracer
 from .worker import LoopTask
 
@@ -71,15 +70,6 @@ class _InlineExecutor:
         pass
 
 
-def _pool_worker_init(compile_enabled: bool) -> None:
-    """Adopt the coordinator's interpreter-engine choice in a pool
-    worker process.  ``REPRO_NO_COMPILE`` crosses the process boundary
-    on its own (children inherit the environment), but a programmatic
-    :func:`repro.interp.set_compilation_enabled` override would not —
-    this initializer forwards whichever is in force."""
-    set_compilation_enabled(compile_enabled)
-
-
 def _make_executor(kind: str):
     """One lane's single-worker executor."""
     if kind == "inline":
@@ -87,10 +77,7 @@ def _make_executor(kind: str):
     if kind == "thread":
         return cf.ThreadPoolExecutor(max_workers=1)
     if kind == "process":
-        return cf.ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_pool_worker_init,
-            initargs=(compilation_enabled(),))
+        return cf.ProcessPoolExecutor(max_workers=1)
     raise ValueError(f"unknown executor kind: {kind!r}")
 
 
@@ -444,7 +431,7 @@ class WorkEngine:
         tel.count("loop_tasks_dispatched")
         if task.loop is None:
             tel.count("discovery_tasks")
-        tel.enqueue()
+        tel.task_started()
         ticket.submitted = time.perf_counter()
         wait_s = ticket.submitted - ticket.enqueued_at
         tel.queue_wait.record(wait_s)
@@ -459,7 +446,7 @@ class WorkEngine:
         try:
             future = ticket.slot.executor.submit(self._loop_runner, task)
         except Exception:
-            tel.dequeue()
+            tel.task_finished()
             span.end(status="submit_failure")
             self._release(ticket)
             self._observe(ticket, "failure", 0.0)
@@ -469,7 +456,7 @@ class WorkEngine:
             # KeyboardInterrupt/SystemExit through the inline executor:
             # poison every waiting batch and stop the dispatcher so the
             # interrupt surfaces in the batch thread.
-            tel.dequeue()
+            tel.task_finished()
             span.end(status="interrupted")
             self._poison(exc, ticket)
             return False
@@ -487,7 +474,7 @@ class WorkEngine:
     def _finish(self, future: cf.Future, ticket: Ticket) -> None:
         tel = self.telemetry
         tracer = current_tracer()
-        tel.dequeue()
+        tel.task_finished()
         try:
             result = future.result()
         except Exception:
@@ -508,12 +495,12 @@ class WorkEngine:
         tracer.adopt(result.spans,
                      parent_id=getattr(ticket.span, "id", None))
         latency = time.perf_counter() - ticket.submitted
-        tel.request_latency.record(latency)
+        tel.task_latency.record(latency)
         self._observe(ticket, "ok", latency)
         ticket.deliver(ticket, "ok", result, None)
 
     def _finish_expired(self, ticket: Ticket) -> None:
-        self.telemetry.dequeue()
+        self.telemetry.task_finished()
         ticket.span.end(status="timeout")
         # The worker may still be chewing the abandoned task; replace
         # it so the lane's next ticket starts clean rather than

@@ -155,7 +155,6 @@ class BatchScheduler:
                  telemetry: Optional[ServiceTelemetry] = None,
                  task_timeout_s: Optional[float] = None,
                  loop_timeout_s: Optional[float] = None,
-                 incremental: bool = True,
                  prepared_cache_size: Optional[int] = None,
                  idle_ttl_s: Optional[float] = None,
                  loop_runner: Callable[[LoopTask], LoopTaskResult]
@@ -172,7 +171,6 @@ class BatchScheduler:
         elif prepared_cache_size < 1:
             raise ValueError("prepared_cache_size must be >= 1, got "
                              f"{prepared_cache_size}")
-        self.incremental = incremental
         self.prepared_cache_size = prepared_cache_size
         #: The resident work engine: the global queue and the worker
         #: lanes live here so they survive from one run_batch to the
@@ -235,7 +233,7 @@ class BatchScheduler:
                 work[key] = _KeyWork(request=request,
                                      loops=tuple(request.loops))
                 continue
-            self.telemetry.count("shards_deduplicated")
+            self.telemetry.count("requests_deduplicated")
             entry.demand += 1
             # Union the loop demand; () means "all" and absorbs subsets.
             if entry.loops and request.loops:
@@ -270,7 +268,7 @@ class BatchScheduler:
                     entry.total_instructions = meta.total_instructions
                 entry.answers = {a.loop: a for a in cached}
                 continue
-            if self.incremental and self._probe_incremental(entry):
+            if self._probe_incremental(entry):
                 self.telemetry.count("cache_hits")
                 tracer.event("incremental_hit",
                              workload=entry.request.name)
@@ -585,9 +583,9 @@ class BatchScheduler:
         roster, when a discovery task died)."""
         tel = self.telemetry
         if reason == "timeout":
-            tel.count("shards_timed_out")
+            tel.count("tasks_timed_out")
         elif reason != "cancelled":  # cancels are billed by the engine
-            tel.count("shards_failed")
+            tel.count("tasks_failed")
         if task.loop is not None:
             loops: Tuple[str, ...] = (task.loop,)
         else:

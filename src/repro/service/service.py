@@ -68,11 +68,6 @@ class ServiceConfig:
     #: Budget for one loop's analysis inside a worker; an overdue loop
     #: degrades to a conservative answer while its worker survives.
     loop_timeout_s: Optional[float] = None
-    #: Incremental re-analysis: on a cache miss, look for a prior run
-    #: of the same request lineage and revalidate each cached loop's
-    #: dependence footprint against the edited module, recomputing only
-    #: the loops an edit actually dirtied.
-    incremental: bool = True
     #: Capacity of each worker's resident prepared-module LRU (parsed
     #: module + context + profiles + built system per version key);
     #: ``None`` uses the worker default.
@@ -115,7 +110,6 @@ class DependenceService:
             telemetry=self.telemetry,
             task_timeout_s=self.config.task_timeout_s,
             loop_timeout_s=self.config.loop_timeout_s,
-            incremental=self.config.incremental,
             prepared_cache_size=self.config.prepared_cache_size,
             idle_ttl_s=self.config.idle_ttl_s,
         )

@@ -1,26 +1,27 @@
 """Service telemetry: a MetricsRegistry view with a printable report.
 
 Everything the batch scheduler observes funnels into one
-:class:`ServiceTelemetry`, now a thin facade over
-:class:`repro.obs.metrics.MetricsRegistry`: every counter the old
-hand-rolled fields tracked is a named registry series, the latency
-histograms are registry histograms, and worker processes ship their
-*labeled* series (per-module evaluation counts, per-workload loop
-latencies) back as registry snapshots that merge in.
+:class:`ServiceTelemetry`, which keeps it as named series in a
+:class:`repro.obs.metrics.MetricsRegistry`; worker processes ship
+their *labeled* series (per-module evaluation counts, per-workload
+loop latencies) back as registry snapshots that merge in.
 
-The public surface is unchanged: ``telemetry.count("requests")``,
-attribute reads (``telemetry.cache_hits``), and
-:meth:`ServiceTelemetry.snapshot` into the immutable
-:class:`TelemetrySnapshot` dataclass that the printable report of
-``python -m repro batch`` and the JSON document of ``batch --json``
-both render.  The snapshot additionally carries the full registry
-dump (``metrics``) so labeled series reach ``--json`` consumers.
+:class:`TelemetrySnapshot` is the one declaration of the unlabeled
+service series: each counter field names a registry counter, and
+:class:`ServiceTelemetry` materializes exactly those, so adding a
+counter takes one new field.  ``telemetry.count("requests")`` writes
+a series; :meth:`ServiceTelemetry.snapshot` reads them all into the
+immutable snapshot that the printable report of ``python -m repro
+batch`` renders and :meth:`TelemetrySnapshot.to_dict` turns into the
+JSON document of ``batch --json`` and the daemon's ``stats``.  The
+snapshot also carries the full registry dump (``metrics``) so
+labeled series reach JSON consumers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Mapping, Optional
 
 from ..obs.metrics import LatencyHistogram, MetricsRegistry
 
@@ -31,90 +32,47 @@ __all__ = [
     "format_report",
 ]
 
-#: Counter families ServiceTelemetry exposes as attributes (all
-#: unlabeled; workers additionally emit labeled variants like
-#: ``module_evals{module=...}`` that merge into the same registry).
-_COUNTERS = (
-    "requests",
-    "shards_deduplicated",
-    "shards_failed",
-    "shards_timed_out",
-    "loop_tasks_dispatched",
-    "discovery_tasks",
-    "loops_computed",
-    "loops_from_cache",
-    "loops_incremental",
-    "loops_fallback",
-    "cache_hits",
-    "cache_misses",
-    "incremental_probes",
-    "profile_reuses",
-    "prepared_hits",
-    "prepared_misses",
-    "prepared_evictions",
-    "module_evals",
-    "orchestrator_queries",
-    "wall_s",
-    "busy_s",
-    "setup_s",
-    "tasks_cancelled",
-    "fleet_rebuilds",
-    "fleet_scale_downs",
-    # Tiered result cache (repro.cachetier): per-tier attribution.
-    "l1_hits",
-    "l1_misses",
-    "l1_lock_retries",
-    "l2_hits",
-    "l2_misses",
-    "l2_writes",
-    "l2_writes_shed",
-    "l2_writes_dropped",
-    "l2_errors",
-)
+#: Field metadata marking a snapshot field that is not an unlabeled
+#: registry counter of the same name.
+_NOT_A_COUNTER = {"counter": False}
 
 
 @dataclass(frozen=True)
 class TelemetrySnapshot:
-    """Immutable view of one service run's observability counters."""
+    """Immutable view of one service run's observability counters.
 
-    requests: int
-    shards_deduplicated: int
-    shards_failed: int
-    shards_timed_out: int
-    loop_tasks_dispatched: int
-    discovery_tasks: int
-    loops_computed: int
-    loops_from_cache: int
-    loops_incremental: int
-    loops_fallback: int
-    cache_hits: int
-    cache_misses: int
-    incremental_probes: int
-    profile_reuses: int
-    prepared_hits: int
-    prepared_misses: int
-    prepared_evictions: int
-    module_evals: int
-    orchestrator_queries: int
-    workers: int
-    wall_s: float
-    busy_s: float
+    Every field without ``_NOT_A_COUNTER`` metadata is the value of
+    the unlabeled registry counter of the same name.
+    """
+
+    requests: int = 0
+    #: Requests whose version key was already demanded in the batch.
+    requests_deduplicated: int = 0
+    #: Loop tasks whose worker died.
+    tasks_failed: int = 0
+    #: Loop tasks that overran ``task_timeout_s``.
+    tasks_timed_out: int = 0
+    loop_tasks_dispatched: int = 0
+    discovery_tasks: int = 0
+    loops_computed: int = 0
+    loops_from_cache: int = 0
+    loops_incremental: int = 0
+    loops_fallback: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    incremental_probes: int = 0
+    profile_reuses: int = 0
+    prepared_hits: int = 0
+    prepared_misses: int = 0
+    prepared_evictions: int = 0
+    module_evals: int = 0
+    orchestrator_queries: int = 0
+    wall_s: float = 0.0
+    busy_s: float = 0.0
     #: Parse+verify+profile+build seconds actually paid (each
     #: prepared-module entry bills setup exactly once, to the task
     #: that populated it — never re-billed on hits).
-    setup_s: float
-    max_queue_depth: int
-    request_latency: Dict[str, float]   # histogram summary
-    query_latency: Dict[str, float]     # per-loop analysis latencies
-    #: Seconds a queued task waited before dispatch.
-    queue_wait: Dict[str, float] = field(default_factory=dict)
-    #: Batch-relative completion latency per original request (the
-    #: tail-latency headline: recorded once per deduplicated demand
-    #: when a request's last task lands).
-    request_completion: Dict[str, float] = field(default_factory=dict)
-    #: Full registry dump: every labeled series (per-module evals,
-    #: per-workload latencies) with raw histogram buckets.
-    metrics: Dict = field(default_factory=dict)
+    setup_s: float = 0.0
     #: Queued tasks swept when their client went away (daemon
     #: disconnect/cancel) or the engine closed mid-queue.
     tasks_cancelled: int = 0
@@ -137,6 +95,27 @@ class TelemetrySnapshot:
     l2_writes_shed: int = 0
     l2_writes_dropped: int = 0
     l2_errors: int = 0
+    workers: int = field(default=0, metadata=_NOT_A_COUNTER)
+    #: High-water mark of the ``tasks_inflight`` gauge (at most the
+    #: number of worker lanes).
+    max_tasks_inflight: int = field(default=0, metadata=_NOT_A_COUNTER)
+    #: Histogram summaries: dispatch-to-result seconds per loop task,
+    #: per-loop analysis seconds, and seconds a queued task waited
+    #: before dispatch.
+    task_latency: Dict[str, float] = field(default_factory=dict,
+                                           metadata=_NOT_A_COUNTER)
+    query_latency: Dict[str, float] = field(default_factory=dict,
+                                            metadata=_NOT_A_COUNTER)
+    queue_wait: Dict[str, float] = field(default_factory=dict,
+                                         metadata=_NOT_A_COUNTER)
+    #: Batch-relative completion latency per original request (the
+    #: tail-latency headline: recorded once per deduplicated demand
+    #: when a request's last task lands).
+    request_completion: Dict[str, float] = field(default_factory=dict,
+                                                 metadata=_NOT_A_COUNTER)
+    #: Full registry dump: every labeled series (per-module evals,
+    #: per-workload latencies) with raw histogram buckets.
+    metrics: Dict = field(default_factory=dict, metadata=_NOT_A_COUNTER)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -156,6 +135,27 @@ class TelemetrySnapshot:
         available = self.workers * self.wall_s
         return min(1.0, self.busy_s / available) if available else 0.0
 
+    def to_dict(self) -> Dict:
+        """The JSON document of ``batch --json`` and the daemon's
+        ``stats``: every field plus the three derived rates."""
+        doc = asdict(self)
+        doc["cache_hit_rate"] = self.cache_hit_rate
+        doc["prepared_hit_rate"] = self.prepared_hit_rate
+        doc["worker_utilization"] = self.worker_utilization
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: Mapping) -> "TelemetrySnapshot":
+        """Inverse of :meth:`to_dict`; the derived rates and any key
+        that is not a field are ignored."""
+        return cls(**{f.name: doc[f.name] for f in fields(cls)
+                      if f.name in doc})
+
+
+#: The unlabeled service counters, in declaration order.
+COUNTER_FIELDS = tuple(f.name for f in fields(TelemetrySnapshot)
+                 if f.metadata.get("counter", True))
+
 
 class ServiceTelemetry:
     """Mutable accumulator: named series in a MetricsRegistry."""
@@ -164,29 +164,31 @@ class ServiceTelemetry:
                  registry: Optional[MetricsRegistry] = None):
         self.registry = registry or MetricsRegistry()
         self.workers = workers
-        self.request_latency = self.registry.histogram("shard_latency_s")
+        self.task_latency = self.registry.histogram("task_latency_s")
         self.query_latency = self.registry.histogram("loop_latency_s")
         self.queue_wait = self.registry.histogram("queue_wait_s")
         self.request_completion = \
             self.registry.histogram("request_completion_s")
-        self._queue = self.registry.gauge("queue_depth")
+        self._inflight = self.registry.gauge("tasks_inflight")
         #: Optional live ops plane (:class:`repro.obs.live.LiveOps`).
         #: ``None`` outside the daemon; the engine guards every
         #: observe call on it so batch mode pays one attribute read.
         self.live = None
-        # Materialize every counter so attribute reads and snapshots
-        # see zeros (not missing series) on an idle service.
+        # Materialize every counter so snapshots see zeros (not
+        # missing series) on an idle service.
         self._counters = {name: self.registry.counter(name)
-                          for name in _COUNTERS}
+                          for name in COUNTER_FIELDS}
 
     def count(self, counter: str, n=1) -> None:
         self._counters[counter].inc(n)
 
-    def enqueue(self) -> None:
-        self._queue.inc()
+    def task_started(self) -> None:
+        """A loop task went onto a worker lane."""
+        self._inflight.inc()
 
-    def dequeue(self) -> None:
-        self._queue.dec()
+    def task_finished(self) -> None:
+        """A loop task left its lane (result, crash, or timeout)."""
+        self._inflight.dec()
 
     def attach_live(self, live) -> None:
         """Install a :class:`repro.obs.live.LiveOps` plane; every
@@ -199,64 +201,18 @@ class ServiceTelemetry:
         if snapshot:
             self.registry.merge(snapshot)
 
-    def __getattr__(self, name: str):
-        # Only consulted for attributes not set in __init__: expose
-        # counter values (telemetry.cache_hits et al.) read-only.
-        counters = self.__dict__.get("_counters")
-        if counters and name in counters:
-            return counters[name].value
-        if name == "queue_depth":
-            return self.__dict__["_queue"].value
-        if name == "max_queue_depth":
-            return self.__dict__["_queue"].max
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}")
-
     def snapshot(self) -> TelemetrySnapshot:
-        value = self.registry.value
+        metrics = self.registry.snapshot()
+        counters = metrics["counters"]
         return TelemetrySnapshot(
-            requests=value("requests"),
-            shards_deduplicated=value("shards_deduplicated"),
-            shards_failed=value("shards_failed"),
-            shards_timed_out=value("shards_timed_out"),
-            loop_tasks_dispatched=value("loop_tasks_dispatched"),
-            discovery_tasks=value("discovery_tasks"),
-            loops_computed=value("loops_computed"),
-            loops_from_cache=value("loops_from_cache"),
-            loops_incremental=value("loops_incremental"),
-            loops_fallback=value("loops_fallback"),
-            cache_hits=value("cache_hits"),
-            cache_misses=value("cache_misses"),
-            incremental_probes=value("incremental_probes"),
-            profile_reuses=value("profile_reuses"),
-            prepared_hits=value("prepared_hits"),
-            prepared_misses=value("prepared_misses"),
-            prepared_evictions=value("prepared_evictions"),
-            module_evals=value("module_evals"),
-            orchestrator_queries=value("orchestrator_queries"),
             workers=self.workers,
-            wall_s=value("wall_s"),
-            busy_s=value("busy_s"),
-            setup_s=value("setup_s"),
-            max_queue_depth=self._queue.max,
-            request_latency=self.request_latency.summary(),
+            max_tasks_inflight=metrics["gauges"]["tasks_inflight"]["max"],
+            task_latency=self.task_latency.summary(),
             query_latency=self.query_latency.summary(),
             queue_wait=self.queue_wait.summary(),
             request_completion=self.request_completion.summary(),
-            metrics=self.registry.snapshot(),
-            tasks_cancelled=value("tasks_cancelled"),
-            fleet_rebuilds=value("fleet_rebuilds"),
-            fleet_scale_downs=value("fleet_scale_downs"),
-            l1_hits=value("l1_hits"),
-            l1_misses=value("l1_misses"),
-            l1_lock_retries=value("l1_lock_retries"),
-            l2_hits=value("l2_hits"),
-            l2_misses=value("l2_misses"),
-            l2_writes=value("l2_writes"),
-            l2_writes_shed=value("l2_writes_shed"),
-            l2_writes_dropped=value("l2_writes_dropped"),
-            l2_errors=value("l2_errors"),
-        )
+            metrics=metrics,
+            **{name: counters[name] for name in COUNTER_FIELDS})
 
 
 def format_report(snap: TelemetrySnapshot) -> str:
@@ -275,7 +231,7 @@ def format_report(snap: TelemetrySnapshot) -> str:
         f"  requests         {snap.requests} "
         f"({snap.loop_tasks_dispatched} loop tasks dispatched "
         f"({snap.discovery_tasks} discovery), "
-        f"{snap.shards_deduplicated} deduplicated in-flight)",
+        f"{snap.requests_deduplicated} deduplicated in-flight)",
         f"  loops            {snap.loops_computed} computed, "
         f"{snap.loops_from_cache} from cache "
         f"({snap.loops_incremental} via footprint revalidation), "
@@ -290,15 +246,15 @@ def format_report(snap: TelemetrySnapshot) -> str:
         f"(hit rate {snap.prepared_hit_rate:.1%}, "
         f"{snap.prepared_evictions} evictions, "
         f"setup {snap.setup_s:.2f}s billed once)",
-        f"  robustness       {snap.shards_timed_out} task timeouts, "
-        f"{snap.shards_failed} worker failures",
+        f"  robustness       {snap.tasks_timed_out} task timeouts, "
+        f"{snap.tasks_failed} worker failures",
         f"  orchestrators    {snap.orchestrator_queries} queries, "
         f"{snap.module_evals} module evaluations",
         f"  workers          {snap.workers} "
         f"(utilization {snap.worker_utilization:.1%}, "
         f"busy {snap.busy_s:.2f}s of {snap.wall_s:.2f}s wall)",
-        f"  queue            max depth {snap.max_queue_depth}",
-        _lat("task latency", snap.request_latency),
+        f"  tasks            in flight max {snap.max_tasks_inflight}",
+        _lat("task latency", snap.task_latency),
         _lat("loop latency", snap.query_latency),
     ]
     if snap.queue_wait.get("count"):

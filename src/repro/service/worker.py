@@ -316,9 +316,9 @@ class PreparedModule:
         self.context = context
         self.profiles = profiles
         # The closure-compiled execution artifact the training run
-        # left on the context (None when compilation was off or fell
-        # back).  Pinned here so it stays warm with the entry: later
-        # re-profiles of this prepared module (e.g. speculative
+        # left on the context (None when the module fell back to the
+        # tree-walker).  Pinned here so it stays warm with the entry:
+        # later re-profiles of this prepared module (e.g. speculative
         # re-validation) reuse the compiled functions across batches.
         self.compiled = cached_compiled_module(context)
         self.hot = hot_loops(profiles)

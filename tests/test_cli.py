@@ -64,8 +64,34 @@ class TestFmt:
     def test_bad_file_raises(self, tmp_path):
         bad = tmp_path / "bad.ir"
         bad.write_text("func @broken( {")
-        with pytest.raises(Exception):
+        with pytest.raises(SystemExit) as excinfo:
             main(["fmt", str(bad)])
+        assert excinfo.value.code == 2
+
+
+#: Inputs each file command must reject with a one-line diagnostic.
+BAD_INPUTS = {
+    "missing": (None, "No such file or directory"),
+    "unparseable": ("func @broken( {", "line 1:"),
+    "unverifiable": ("func @main() -> i32 {\nentry:\n"
+                     "  %x = add i32 1, 2\n}\n",
+                     "block lacks a terminator"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_prints_diagnostic(case, tmp_path, capsys):
+    text, reason = BAD_INPUTS[case]
+    path = tmp_path / f"{case}.ir"
+    if text is not None:
+        path.write_text(text)
+    for command in ("run", "fmt", "profile", "analyze"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro {command}: {path}: ")
+        assert reason in err
 
 
 class TestProfile:

@@ -22,11 +22,13 @@ What this file pins:
   single root span.
 """
 
+import json
 import os
 import threading
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.daemon import (
     AnalysisDaemon,
     DaemonClient,
@@ -375,6 +377,23 @@ class TestResidentState:
             assert stats["telemetry"]["loops_computed"] >= 1
         finally:
             daemon.stop()
+
+    def test_stats_telemetry_keys_match_batch_json(self, tmp_path, capsys):
+        """A daemon's stats telemetry and in-process ``batch --json``
+        telemetry are the same document."""
+        path = tmp_path / "t.ir"
+        path.write_text(make_source())
+        assert cli_main(["batch", str(path), "--workers", "0",
+                         "--executor", "inline", "--json"]) == 0
+        batch = json.loads(capsys.readouterr().out)["telemetry"]
+        daemon, addr = start_daemon(tmp_path)
+        try:
+            with DaemonClient(addr) as c:
+                stats = c.stats()["telemetry"]
+        finally:
+            daemon.stop()
+        assert set(batch) == set(stats)
+        assert "prepared_hit_rate" in batch
 
     def test_recycle_verb_replaces_fleet(self, tmp_path):
         daemon, addr = start_daemon(tmp_path)

@@ -19,10 +19,8 @@ from repro.interp import (
     CompileError,
     Interpreter,
     cached_compiled_module,
-    compilation_enabled,
     compile_module,
     make_interpreter,
-    set_compilation_enabled,
 )
 from repro.ir import parse_module
 from repro.profiling import run_profilers
@@ -146,28 +144,11 @@ entry:
 class TestEngineSelection:
     def test_make_interpreter_explicit_choice(self):
         module = parse_module(_TRIVIAL)
+        assert isinstance(make_interpreter(module), CompiledInterpreter)
         assert isinstance(make_interpreter(module, compile=True),
                           CompiledInterpreter)
         tree = make_interpreter(module, compile=False)
         assert not isinstance(tree, CompiledInterpreter)
-
-    def test_env_opt_out(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-        assert not compilation_enabled()
-        module = parse_module(_TRIVIAL)
-        assert not isinstance(make_interpreter(module),
-                              CompiledInterpreter)
-        monkeypatch.setenv("REPRO_NO_COMPILE", "0")
-        assert compilation_enabled()
-
-    def test_forced_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-        set_compilation_enabled(True)
-        try:
-            assert compilation_enabled()
-        finally:
-            set_compilation_enabled(None)
-        assert not compilation_enabled()
 
     def test_compile_error_falls_back_to_tree(self, monkeypatch):
         import repro.interp.compile as compile_mod
@@ -201,17 +182,6 @@ class TestEngineSelection:
         assert isinstance(prepared.compiled, CompiledModule)
         assert cached_compiled_module(prepared.context) \
             is prepared.compiled
-
-    def test_cli_no_compile_flag_sets_env(self, monkeypatch, tmp_path):
-        import os
-        from repro.cli import main
-
-        monkeypatch.delenv("REPRO_NO_COMPILE", raising=False)
-        path = tmp_path / "p.ir"
-        path.write_text(_TRIVIAL)
-        assert main(["run", str(path), "--no-compile"]) == 0
-        assert os.environ.get("REPRO_NO_COMPILE") == "1"
-        monkeypatch.delenv("REPRO_NO_COMPILE", raising=False)
 
 
 # ---------------------------------------------------------------------------

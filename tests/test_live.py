@@ -32,6 +32,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.daemon import AnalysisDaemon, DaemonClient, DaemonConfig
+from repro.daemon.protocol import PROTOCOL_VERSION
 from repro.obs.expo import (
     parse_prometheus,
     render_prometheus,
@@ -109,9 +110,9 @@ class TestExposition:
     def test_round_trip_with_extras(self):
         registry = MetricsRegistry()
         registry.counter("cache_hits").inc(7)
+        registry.counter("daemon_jobs_completed").inc(2)
         text = render_prometheus(
             registry.snapshot(),
-            extra_counters={"daemon_jobs_completed": 2.0},
             extra_gauges={"window_tasks_rate{outcome=ok}": 1.5,
                           "daemon_uptime_s": 12.25})
         parsed = parse_prometheus(text)
@@ -550,6 +551,12 @@ class TestDaemonLiveOps:
             assert "repro top" in frame and "[serving]" in frame
             assert "cli" in frame          # client attribution row
             assert "task latency" in frame  # windowed percentiles
+            # stats --daemon draws the same frame, then the report.
+            assert cli_main(["stats", "--daemon", addr]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("repro top")
+            assert f"protocol {PROTOCOL_VERSION}" in out
+            assert "service telemetry" in out
             assert cli_main(["stats", "--daemon", addr,
                              "--flight"]) == 0
             dump = json.loads(capsys.readouterr().out)
@@ -560,6 +567,45 @@ class TestDaemonLiveOps:
             assert sample_value(parsed, "repro_client_requests_total",
                                 client="cli") == 1.0
         finally:
+            daemon.stop()
+
+    def test_jobs_active_agrees_across_surfaces(self, tmp_path):
+        """stats, /healthz and /metrics read one registry gauge; the
+        scrape has one queue-depth family and no shard series."""
+        gate = threading.Event()
+        service = gated_service(1, gate)
+        config = DaemonConfig(
+            addr=f"unix:{tmp_path}/active-test.sock",
+            service=ServiceConfig(workers=1, executor="thread"),
+            metrics_port=0)
+        daemon = AnalysisDaemon(config, service=service)
+        daemon.start_background()
+
+        def readings():
+            with DaemonClient(config.addr) as client:
+                stats = client.stats()["daemon"]["jobs_active"]
+            base = f"http://{daemon.metrics_addr}"
+            health = json.loads(_http_get(base + "/healthz")[1])
+            parsed = parse_prometheus(_http_get(base + "/metrics")[1])
+            return (stats, health["jobs_active"],
+                    sample_value(parsed, "repro_daemon_jobs_active"),
+                    parsed)
+
+        try:
+            with DaemonClient(config.addr) as client:
+                job = client.submit([AnalysisRequest("g", make_source())])
+                assert readings()[:3] == (1, 1, 1.0)
+                gate.set()
+                assert client.stream(job)["status"] == "done"
+            *values, parsed = readings()
+            assert values == [0, 0, 0.0]
+            assert [family for family in parsed["types"]
+                    if "queue_depth" in family] \
+                == ["repro_daemon_queue_depth"]
+            assert not [name for name, _, _ in parsed["samples"]
+                        if name.startswith("repro_shard")]
+        finally:
+            gate.set()
             daemon.stop()
 
     def test_shed_attribution(self, tmp_path):

@@ -34,7 +34,12 @@ from repro.obs import (
 )
 from repro.obs.metrics import series_key
 from repro.service import AnalysisRequest, BatchScheduler
-from repro.service.telemetry import ServiceTelemetry, format_report
+from repro.service.telemetry import (
+    COUNTER_FIELDS,
+    ServiceTelemetry,
+    TelemetrySnapshot,
+    format_report,
+)
 
 from tests.test_cli import PROGRAM
 from tests.test_service import make_source
@@ -460,20 +465,40 @@ class TestMetricsRegistry:
         json.dumps(r.snapshot())
 
 
-# -- telemetry facade + golden report ----------------------------------------
+# -- telemetry snapshot + golden report --------------------------------------
 
 class TestTelemetry:
     def test_facade_attribute_reads(self):
         tel = ServiceTelemetry(workers=2)
         tel.count("cache_hits", 3)
         tel.count("requests")
-        tel.enqueue(); tel.enqueue(); tel.dequeue()
-        assert tel.cache_hits == 3
-        assert tel.requests == 1
-        assert tel.queue_depth == 1
-        assert tel.max_queue_depth == 2
-        with pytest.raises(AttributeError):
-            tel.no_such_counter
+        tel.task_started(); tel.task_started(); tel.task_finished()
+        snap = tel.snapshot()
+        assert snap.cache_hits == 3
+        assert snap.requests == 1
+        assert tel.registry.value("tasks_inflight") == 1
+        assert snap.max_tasks_inflight == 2
+        with pytest.raises(KeyError):
+            tel.count("no_such_counter")
+
+    def test_counters_are_snapshot_fields_and_round_trip(self):
+        tel = ServiceTelemetry(workers=2)
+        materialized = set(tel.registry.snapshot()["counters"])
+        fields = set(TelemetrySnapshot.__dataclass_fields__)
+        assert materialized == set(COUNTER_FIELDS) <= fields
+        for n, name in enumerate(COUNTER_FIELDS, start=1):
+            tel.count(name, n)
+        tel.task_latency.record(0.01)
+        snap = tel.snapshot()
+        assert [getattr(snap, name) for name in COUNTER_FIELDS] \
+            == list(range(1, len(COUNTER_FIELDS) + 1))
+        doc = snap.to_dict()
+        for rate in ("cache_hit_rate", "prepared_hit_rate",
+                     "worker_utilization"):
+            assert rate in doc
+        assert TelemetrySnapshot.from_dict(doc) == snap
+        assert TelemetrySnapshot.from_dict(
+            json.loads(json.dumps(doc))) == snap
 
     def test_worker_metrics_merge_labeled_series(self):
         tel = ServiceTelemetry(workers=1)
@@ -490,13 +515,14 @@ class TestTelemetry:
         tel = ServiceTelemetry(workers=2)
         for counter, n in (
                 ("requests", 3), ("loop_tasks_dispatched", 2),
-                ("shards_deduplicated", 1), ("shards_timed_out", 1),
+                ("requests_deduplicated", 1), ("tasks_timed_out", 1),
                 ("loops_computed", 4), ("loops_from_cache", 2),
                 ("loops_incremental", 1), ("cache_hits", 5),
                 ("cache_misses", 5), ("incremental_probes", 2),
                 ("orchestrator_queries", 10), ("module_evals", 40)):
             tel.count(counter, n)
-        tel.enqueue(); tel.enqueue(); tel.enqueue(); tel.dequeue()
+        tel.task_started(); tel.task_started(); tel.task_started()
+        tel.task_finished()
         expected = "\n".join([
             "service telemetry",
             "-----------------",
@@ -512,7 +538,7 @@ class TestTelemetry:
             "  orchestrators    10 queries, 40 module evaluations",
             "  workers          2 (utilization 0.0%, "
             "busy 0.00s of 0.00s wall)",
-            "  queue            max depth 3",
+            "  tasks            in flight max 3",
             "  task latency     n=0     mean=    0.00ms "
             "p50=    0.00ms p90=    0.00ms p99=    0.00ms "
             "max=    0.00ms",

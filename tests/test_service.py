@@ -439,7 +439,7 @@ class TestScheduler:
         assert sorted((t.request.name, t.loop or "*") for t in calls) == [
             ("a", "*"), ("a", "@main:%loop"),
             ("c", "*"), ("c", "@main:%loop")]
-        assert scheduler.telemetry.shards_deduplicated == 1
+        assert scheduler.telemetry.snapshot().requests_deduplicated == 1
         assert len(results) == 3
         assert identities(results[0]) == identities(results[1])
 
@@ -453,7 +453,7 @@ class TestScheduler:
                                   loops=("@main:%loop",))
         [answers] = scheduler.run_batch([request])
         assert [a.status for a in answers] == [STATUS_FALLBACK]
-        assert scheduler.telemetry.shards_failed == 1
+        assert scheduler.telemetry.snapshot().tasks_failed == 1
         scheduler.close()
 
     def test_partial_crash_keeps_other_shards(self):
@@ -490,7 +490,7 @@ class TestScheduler:
             "fast1": STATUS_COMPUTED, "slow": STATUS_FALLBACK,
             "fast2": STATUS_COMPUTED}
         snap = scheduler.telemetry.snapshot()
-        assert snap.shards_timed_out == 1
+        assert snap.tasks_timed_out == 1
         assert snap.loops_fallback == 1
         assert snap.fleet_rebuilds == 1
 
@@ -522,7 +522,7 @@ class TestScheduler:
         assert 1 <= peak[0] <= 2
         # The in-flight gauge: both lanes fill on the first dispatch
         # round, and never more than that.
-        assert snap.max_queue_depth == 2
+        assert snap.max_tasks_inflight == 2
 
     def test_inline_executor_propagates_interrupts(self):
         """KeyboardInterrupt/SystemExit must escape; ordinary task
@@ -557,7 +557,7 @@ class TestScheduler:
         [answers] = scheduler.run_batch([request])
         assert sorted(seen) == ["l1", "l2", "l3", "l4"]
         assert [a.loop for a in answers] == ["l1", "l2", "l3", "l4"]
-        assert scheduler.telemetry.discovery_tasks == 0
+        assert scheduler.telemetry.snapshot().discovery_tasks == 0
 
 
 # -- end-to-end --------------------------------------------------------------
@@ -668,10 +668,9 @@ entry:
 """
 
 
-def _run_cached(source: str, cache_dir: str, system: str = "scaf",
-                incremental: bool = True):
+def _run_cached(source: str, cache_dir: str, system: str = "scaf"):
     config = ServiceConfig(workers=0, executor="inline",
-                           cache_dir=cache_dir, incremental=incremental)
+                           cache_dir=cache_dir)
     with DependenceService(config) as service:
         return service.run_batch(
             [AnalysisRequest("incr", source, system=system)])
@@ -715,15 +714,6 @@ class TestIncremental:
         assert all(a.status == STATUS_CACHED for a in third.flat())
         assert third.telemetry.module_evals == 0
         assert third.telemetry.incremental_probes == 0  # exact hit
-
-    def test_incremental_disabled_recomputes(self, tmp_path):
-        v1 = make_source() + PROBE_FUNC.format(step=1)
-        v2 = make_source() + PROBE_FUNC.format(step=2)
-        _run_cached(v1, str(tmp_path), incremental=False)
-        warm = _run_cached(v2, str(tmp_path), incremental=False)
-        assert all(a.status == STATUS_COMPUTED for a in warm.flat())
-        assert warm.telemetry.module_evals > 0
-        assert warm.telemetry.incremental_probes == 0
 
 
 # -- scoped footprints: header edits stop invalidating everything ------------

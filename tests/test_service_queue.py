@@ -156,7 +156,7 @@ class TestCrashAndRebuild:
         # untouched by the crash.
         assert all(a.status == STATUS_COMPUTED for a in results[1 - hit])
         snap = scheduler.telemetry.snapshot()
-        assert snap.shards_failed == 1
+        assert snap.tasks_failed == 1
         assert snap.loops_fallback == 1
         # The crashed worker slot was replaced (a fresh worker drained
         # the remaining queue).
