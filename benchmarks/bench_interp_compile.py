@@ -7,13 +7,12 @@ compiled than tree-walked, aggregated across workloads (geomean).
 
 The cold-profiling bundle time (all six profilers attached) is
 measured and reported as context, *not* gated: with listeners on,
-the byte-granular memdep shadow dominates the run and is identical
-work in both engines, so the bundle-level speedup is intentionally
-smaller.
+the profilers' per-event Python work is identical in both engines
+and takes most of the run, so the bundle-level speedup is smaller.
 
 Equality is asserted on every run, both regimes: return value,
 dynamic instruction count and loop statistics for pure execution;
-the service's ``profile_digest`` plus exit value for the bundles.
+every profile fact (``repro.profiling.bundle_facts``) for the bundles.
 
 ``REPRO_INTERP_SMOKE=name,name`` restricts to a comma-separated
 workload subset (the CI smoke job).  Results land in
@@ -29,8 +28,7 @@ from common import emit, format_table, geomean
 
 from repro.analysis import AnalysisContext
 from repro.interp import CompiledInterpreter, Interpreter, compile_module
-from repro.profiling import run_profilers
-from repro.service.requests import profile_digest
+from repro.profiling import bundle_facts, run_profilers
 from repro.workloads import ALL_WORKLOADS
 
 BENCH_JSON = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -86,7 +84,7 @@ def _time_pure(workload, engine):
 
 def _time_bundle(workload, engine):
     """One cold profiling run (parse/build excluded); returns
-    (seconds, digest facts)."""
+    (seconds, profile facts)."""
     module = workload.build()
     analysis = AnalysisContext(module)
     started = time.perf_counter()
@@ -94,7 +92,7 @@ def _time_bundle(workload, engine):
                            compile=(engine == "compiled"))
     elapsed = time.perf_counter() - started
     assert bundle.engine == engine
-    return elapsed, (profile_digest(bundle), bundle.exit_value)
+    return elapsed, bundle_facts(bundle)
 
 
 def _measure(workload):
@@ -109,9 +107,9 @@ def _measure(workload):
     assert comp_facts == tree_facts, \
         f"{workload.name}: engines disagree on pure execution"
 
-    tree_bundle_s, tree_digest = _time_bundle(workload, "tree")
-    comp_bundle_s, comp_digest = _time_bundle(workload, "compiled")
-    assert comp_digest == tree_digest, \
+    tree_bundle_s, tree_profile = _time_bundle(workload, "tree")
+    comp_bundle_s, comp_profile = _time_bundle(workload, "compiled")
+    assert comp_profile == tree_profile, \
         f"{workload.name}: engines disagree on profile facts"
 
     return {

@@ -72,6 +72,9 @@ class ExecutionListener:
     def on_return(self, fn: Function) -> None:
         """A function returned."""
 
+    def finish(self) -> None:
+        """The run is over: fold any deferred state into the result."""
+
 
 class HookBus:
     """Fan-out of interpreter events to registered listeners."""

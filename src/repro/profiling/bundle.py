@@ -15,6 +15,7 @@ from .lifetime import LifetimeProfile, LifetimeProfiler
 from .memdep import MemDepProfile, MemDepProfiler
 from .points_to import PointsToProfile, PointsToProfiler
 from .residue import ResidueProfile, ResidueProfiler
+from .sites import _value_position, site_order_key
 from .value import ValueProfile, ValueProfiler
 
 
@@ -66,7 +67,8 @@ def run_profilers(module: Module,
     residue = ResidueProfiler()
     lifetime = LifetimeProfiler()
     memdep = MemDepProfiler()
-    for profiler in (edge, value, points_to, residue, lifetime, memdep):
+    profilers = (edge, value, points_to, residue, lifetime, memdep)
+    for profiler in profilers:
         interp.add_listener(profiler)
 
     tracer = current_tracer()
@@ -75,7 +77,8 @@ def run_profilers(module: Module,
         with tracer.span("interpret", cat="profile"):
             result = interp.run(entry, args)
         with tracer.span("finalize", cat="profile"):
-            lifetime.finish()
+            for profiler in profilers:
+                profiler.finish()
         span.set(instructions=interp.total_instructions())
 
     return ProfileBundle(
@@ -90,3 +93,65 @@ def run_profilers(module: Module,
         exit_value=result,
         engine=engine,
     )
+
+
+def _block_key(block):
+    fn = block.parent
+    return (fn.name if fn is not None else "", block.name)
+
+
+def _scalar(value):
+    if isinstance(value, float) and value != value:
+        return "nan"
+    return value
+
+
+def bundle_facts(bundle: ProfileBundle) -> dict:
+    """Every fact of ``bundle`` as comparable plain data.
+
+    Keys are stable IR positions rather than object identities, so
+    bundles from two separately built copies of one module compare
+    equal exactly when the runs observed the same behaviour.  The
+    engine name is left out: the two engines must agree on the rest.
+    """
+    edge = bundle.edge
+    value = bundle.value
+    pt = bundle.points_to
+    life = bundle.lifetime
+    ikey, skey = _value_position, site_order_key
+    return {
+        "ret": _scalar(bundle.exit_value),
+        "steps": bundle.total_instructions,
+        "loops": {_block_key(loop.header): (s.invocations, s.iterations,
+                                            s.dynamic_insts)
+                  for loop, s in bundle.loop_stats.items()},
+        "edges": {(_block_key(f), _block_key(t)): n
+                  for (f, t), n in edge.edge_counts.items()},
+        "blocks": {_block_key(b): n for b, n in edge.block_counts.items()},
+        "values": {ikey(i): (n, _scalar(value.constant_value.get(i)))
+                   for i, n in value.counts.items()},
+        "points_to": {ikey(p): sorted(skey(s) for s in sites)
+                      for p, sites in pt.points_to.items()},
+        "escaped": sorted(ikey(p) for p, flag in pt.escaped.items()
+                          if flag),
+        "site_access": {
+            _block_key(loop.header): {skey(site): (c.reads, c.writes)
+                                      for site, c in sites.items()}
+            for loop, sites in pt.loop_site_access.items()},
+        "residues": {ikey(p): (tuple(sorted(rs)),
+                               bundle.residue.counts.get(p))
+                     for p, rs in bundle.residue.residues.items()},
+        "lifetime": {
+            "allocating": {_block_key(l.header): sorted(map(skey, ss))
+                           for l, ss in life.allocating_sites.items()},
+            "disqualified": {_block_key(l.header): sorted(map(skey, ss))
+                             for l, ss in life.disqualified.items()},
+            "alloc_counts": {_block_key(l.header): n
+                             for l, n in life.alloc_counts.items()},
+        },
+        "memdep": {
+            _block_key(loop.header): sorted(
+                (ikey(src), ikey(dst), cross)
+                for (src, dst, cross) in deps)
+            for loop, deps in bundle.memdep.observed.items()},
+    }

@@ -8,12 +8,12 @@ resolved to at runtime; plus, per loop, per-site read/write counts
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis import Loop
 from ..interp.hooks import ExecutionListener
 from ..interp.memory import MemoryObject
-from ..ir import Instruction, Value
+from ..ir import Value
 from .sites import AllocationSite, site_of
 
 
@@ -39,23 +39,6 @@ class PointsToProfile:
         self.loop_site_access: Dict[Loop, Dict[AllocationSite,
                                                SiteAccessCounts]] = {}
 
-    # -- recording ---------------------------------------------------------
-
-    def record(self, pointer: Value, obj: Optional[MemoryObject],
-               is_write: bool, loops) -> None:
-        if obj is None:
-            self.escaped[pointer] = True
-            return
-        site = site_of(obj)
-        self.points_to.setdefault(pointer, set()).add(site)
-        for rec in loops:
-            per_loop = self.loop_site_access.setdefault(rec.loop, {})
-            counts = per_loop.setdefault(site, SiteAccessCounts())
-            if is_write:
-                counts.writes += 1
-            else:
-                counts.reads += 1
-
     # -- queries ------------------------------------------------------------
 
     def sites_of(self, pointer: Value) -> Optional[Set[AllocationSite]]:
@@ -74,14 +57,81 @@ class PointsToProfile:
         return set(self.loop_site_access.get(loop, {}))
 
 
+class _SiteTally:
+    """Per allocation site: the pointers already known to reach it and
+    read/write counts per static loop nest, expanded by ``finish``."""
+
+    __slots__ = ("site", "pointers", "counts")
+
+    def __init__(self, site: AllocationSite):
+        self.site = site
+        self.pointers: Set[Value] = set()
+        self.counts: Dict[Tuple[Loop, ...], List[int]] = {}
+
+
 class PointsToProfiler(ExecutionListener):
     """Collects a :class:`PointsToProfile` during interpretation."""
 
     def __init__(self):
         self.profile = PointsToProfile()
+        self._tallies: Dict[AllocationSite, _SiteTally] = {}
+        # live memory object -> the tally of its allocation site
+        self._objects: Dict[MemoryObject, _SiteTally] = {}
+        # (loop nest, site, [reads, writes]) in first-access order
+        self._counts: List[Tuple[Tuple[Loop, ...], AllocationSite,
+                                 List[int]]] = []
+        # the last LoopRecord tuple seen and its static loop nest
+        self._records: tuple = ()
+        self._nest: Tuple[Loop, ...] = ()
 
     def on_load(self, inst, address, size, value, obj, loops, context) -> None:
-        self.profile.record(inst.pointer, obj, False, loops)
+        self._access(inst.pointer, obj, loops, 0)
 
     def on_store(self, inst, address, size, value, obj, loops, context) -> None:
-        self.profile.record(inst.pointer, obj, True, loops)
+        self._access(inst.pointer, obj, loops, 1)
+
+    def on_free(self, obj, loops) -> None:
+        self._objects.pop(obj, None)
+
+    def _access(self, pointer: Value, obj: Optional[MemoryObject], loops,
+                column: int) -> None:
+        if obj is None:
+            self.profile.escaped[pointer] = True
+            return
+        tally = self._objects.get(obj)
+        if tally is None:
+            site = site_of(obj)
+            tally = self._tallies.get(site)
+            if tally is None:
+                tally = self._tallies[site] = _SiteTally(site)
+            self._objects[obj] = tally
+        if pointer not in tally.pointers:
+            tally.pointers.add(pointer)
+            sites = self.profile.points_to.get(pointer)
+            if sites is None:
+                sites = self.profile.points_to[pointer] = set()
+            sites.add(tally.site)
+        if not loops:
+            return
+        if loops != self._records:
+            self._records = loops
+            self._nest = tuple([r.loop for r in loops])
+        counts = tally.counts.get(self._nest)
+        if counts is None:
+            counts = tally.counts[self._nest] = [0, 0]
+            self._counts.append((self._nest, tally.site, counts))
+        counts[column] += 1
+
+    def finish(self) -> None:
+        """Add the per-nest counts to every loop of each nest, in the
+        order the loops and sites were first accessed."""
+        loop_site_access = self.profile.loop_site_access
+        for nest, site, (reads, writes) in self._counts:
+            for loop in nest:
+                counts = loop_site_access.setdefault(loop, {}).setdefault(
+                    site, SiteAccessCounts())
+                counts.reads += reads
+                counts.writes += writes
+        self._counts = []
+        for tally in self._tallies.values():
+            tally.counts = {}

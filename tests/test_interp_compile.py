@@ -23,7 +23,7 @@ from repro.interp import (
     make_interpreter,
 )
 from repro.ir import parse_module
-from repro.profiling import run_profilers
+from repro.profiling import bundle_facts, run_profilers
 from repro.workloads import ALL_WORKLOADS, WORKLOADS
 
 
@@ -292,7 +292,7 @@ class TestDifferentialFuzz:
             except Exception as exc:
                 facts.append(("error", type(exc).__name__))
                 continue
-            facts.append(_normalize_bundle(bundle))
+            facts.append(bundle_facts(bundle))
         assert facts[0] == facts[1]
 
 
@@ -312,73 +312,6 @@ def _norm_loop_stats(interp):
 # Full-workload equality sweep: every profiler fact, all 16 programs.
 # ---------------------------------------------------------------------------
 
-def _bkey(block):
-    fn = block.parent
-    return (fn.name if fn is not None else "", block.name)
-
-
-def _ikey(value):
-    from repro.profiling.sites import _value_position
-    return _value_position(value)
-
-
-def _skey(site):
-    from repro.profiling.sites import site_order_key
-    return site_order_key(site)
-
-
-def _scalar(v):
-    if isinstance(v, float) and v != v:
-        return "nan"
-    return v
-
-
-def _normalize_bundle(bundle):
-    """Collapse a ProfileBundle to comparable plain data, keyed by
-    stable IR positions rather than object identity (so bundles from
-    two separately-built copies of one module compare equal)."""
-    edge = bundle.edge
-    value = bundle.value
-    pt = bundle.points_to
-    life = bundle.lifetime
-    return {
-        "ret": _scalar(bundle.exit_value),
-        "steps": bundle.total_instructions,
-        "loops": {_bkey(loop.header): (s.invocations, s.iterations,
-                                       s.dynamic_insts)
-                  for loop, s in bundle.loop_stats.items()},
-        "edges": {(_bkey(f), _bkey(t)): n
-                  for (f, t), n in edge.edge_counts.items()},
-        "blocks": {_bkey(b): n for b, n in edge.block_counts.items()},
-        "values": {_ikey(i): (n, _scalar(value.constant_value.get(i)))
-                   for i, n in value.counts.items()},
-        "points_to": {_ikey(p): sorted(_skey(s) for s in sites)
-                      for p, sites in pt.points_to.items()},
-        "escaped": sorted(_ikey(p) for p, flag in pt.escaped.items()
-                          if flag),
-        "site_access": {
-            _bkey(loop.header): {_skey(site): (c.reads, c.writes)
-                                 for site, c in sites.items()}
-            for loop, sites in pt.loop_site_access.items()},
-        "residues": {_ikey(p): (tuple(sorted(rs)),
-                                bundle.residue.counts.get(p))
-                     for p, rs in bundle.residue.residues.items()},
-        "lifetime": {
-            "allocating": {_bkey(l.header): sorted(map(_skey, ss))
-                           for l, ss in life.allocating_sites.items()},
-            "disqualified": {_bkey(l.header): sorted(map(_skey, ss))
-                             for l, ss in life.disqualified.items()},
-            "alloc_counts": {_bkey(l.header): n
-                             for l, n in life.alloc_counts.items()},
-        },
-        "memdep": {
-            _bkey(loop.header): sorted(
-                (_ikey(src), _ikey(dst), cross)
-                for (src, dst, cross) in deps)
-            for loop, deps in bundle.memdep.observed.items()},
-    }
-
-
 @pytest.mark.parametrize("name", [w.name for w in ALL_WORKLOADS])
 def test_workload_profile_facts_identical(name):
     module_t = WORKLOADS[name].build()
@@ -389,4 +322,4 @@ def test_workload_profile_facts_identical(name):
                          compile=True)
     assert tree.engine == "tree"
     assert comp.engine == "compiled"
-    assert _normalize_bundle(comp) == _normalize_bundle(tree)
+    assert bundle_facts(comp) == bundle_facts(tree)

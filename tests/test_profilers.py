@@ -1,10 +1,14 @@
 """Tests for the five profilers (§4.2.2) and the profile bundle."""
 
+import gc
+
 import pytest
 
 from repro.analysis import AnalysisContext
+from repro.interp import make_interpreter
+from repro.interp.memory import MemoryObject
 from repro.ir import parse_module
-from repro.profiling import run_profilers
+from repro.profiling import MemDepProfiler, PointsToProfiler, run_profilers
 
 
 def profile(text, **kwargs):
@@ -282,8 +286,7 @@ exit:
 
 
 class TestMemDepProfiler:
-    def test_cross_iteration_dependence_observed(self):
-        m, ctx, p = profile("""
+    ACCUMULATE = """
 global @acc : i32 = 0
 func @main() -> i32 {
 entry:
@@ -299,7 +302,10 @@ loop:
 exit:
   ret i32 0
 }
-""")
+"""
+
+    def test_cross_iteration_dependence_observed(self):
+        m, ctx, p = profile(self.ACCUMULATE)
         fn = m.get_function("main")
         loop = ctx.loop_info(fn).loops[0]
         load = next(i for i in fn.instructions() if i.name == "v")
@@ -310,6 +316,25 @@ exit:
         assert p.memdep.is_observed(loop, load, store, cross=False)
         # no intra-iteration flow (load precedes store).
         assert not p.memdep.is_observed(loop, store, load, cross=False)
+
+    def test_observed_pairs_cannot_change_the_profile(self):
+        m, ctx, p = profile(self.ACCUMULATE)
+        fn = m.get_function("main")
+        loop = ctx.loop_info(fn).loops[0]
+        load = next(i for i in fn.instructions() if i.name == "v")
+        store = next(i for i in fn.instructions() if i.opcode == "store")
+        pairs = p.memdep.observed_pairs(loop)
+        assert isinstance(pairs, frozenset)
+        assert (store, load, True) in pairs
+        with pytest.raises(AttributeError):
+            pairs.add((store, load, False))
+        pairs |= {(store, load, False)}
+        assert not p.memdep.is_observed(loop, store, load, cross=False)
+        assert (store, load, False) not in p.memdep.observed_pairs(loop)
+        # Loops without dependences share one empty snapshot.
+        assert p.memdep.observed_pairs(None) == frozenset()
+        assert p.memdep.observed_pairs(None) is \
+            p.memdep.observed_pairs(object())
 
     def test_disjoint_accesses_not_observed(self):
         m, ctx, p = profile("""
@@ -367,6 +392,127 @@ exit:
         # The callee's store->load chain appears as a call->call
         # self-dependence at loop level.
         assert p.memdep.is_observed(loop, call, call, cross=True)
+
+
+def _run_listeners(text, compile_, *listeners):
+    module = parse_module(text)
+    interp = make_interpreter(module, AnalysisContext(module),
+                              compile=compile_)
+    for listener in listeners:
+        interp.add_listener(listener)
+    interp.run("main")
+    return listeners
+
+
+_CONTAINERS = (dict, list, tuple, set, frozenset)
+
+
+def _owned(profiler):
+    """The containers and profiler-defined objects reachable from
+    ``profiler``, and the memory objects they reference.  IR and
+    interpreter objects are not followed."""
+    owned, memory = {}, {}
+    stack = [profiler]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in owned:
+            continue
+        owned[id(obj)] = obj
+        for ref in gc.get_referents(obj):
+            if isinstance(ref, MemoryObject):
+                memory[id(ref)] = ref
+            elif isinstance(ref, _CONTAINERS) or \
+                    type(ref).__module__.startswith("repro.profiling"):
+                stack.append(ref)
+    return list(owned.values()), list(memory.values())
+
+
+class TestBoundedProfilerState:
+    """Profiler state is bounded by the program's static structure, not
+    by how often an access runs or how many objects die."""
+
+    READS = """
+global @g : i64 = 7
+func @main() -> i64 {{
+entry:
+  br %loop
+loop:
+  %i = phi i64 [0, %entry], [%i2, %loop]
+  %v = load i64* @g
+  %i2 = add i64 %i, 1
+  %c = icmp slt i64 %i2, {trips}
+  condbr i1 %c, %loop, %exit
+exit:
+  ret i64 %v
+}}
+"""
+
+    CHURN = """
+declare @malloc(i64) -> i8*
+declare @free(i8*) -> void
+func @spill(i64 %k) -> i64 {{
+entry:
+  %s = alloca [4 x i64]
+  %p = gep [4 x i64]* %s, i64 0, i64 1
+  store i64 %k, i64* %p
+  %v = load i64* %p
+  ret i64 %v
+}}
+func @main() -> i64 {{
+entry:
+  br %heap
+heap:
+  %i = phi i64 [0, %entry], [%i2, %heap]
+  %raw = call @malloc(i64 32)
+  %h = bitcast i8* %raw to i64*
+  store i64 %i, i64* %h
+  %hv = load i64* %h
+  call @free(i8* %raw)
+  %i2 = add i64 %i, 1
+  %ic = icmp slt i64 %i2, {trips}
+  condbr i1 %ic, %heap, %stack.pre
+stack.pre:
+  br %stack
+stack:
+  %j = phi i64 [0, %stack.pre], [%j2, %stack]
+  %sv = call @spill(i64 %j)
+  %j2 = add i64 %j, 1
+  %jc = icmp slt i64 %j2, {trips}
+  condbr i1 %jc, %stack, %exit
+exit:
+  ret i64 0
+}}
+"""
+
+    @pytest.mark.parametrize("compile_", [False, True],
+                             ids=["tree", "compiled"])
+    def test_repeated_reads_keep_two_readers(self, compile_):
+        sizes = []
+        for trips in (10, 10_000):
+            (memdep,) = _run_listeners(self.READS.format(trips=trips),
+                                       compile_, MemDepProfiler())
+            owned, _ = _owned(memdep)
+            # The read group's first and latest access, nothing more.
+            accesses = [o for o in owned if type(o).__name__ == "_Access"]
+            assert len(accesses) <= 2
+            sizes.append(len(owned))
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("compile_", [False, True],
+                             ids=["tree", "compiled"])
+    def test_released_objects_leave_no_state(self, compile_):
+        sizes = []
+        for trips in (10, 10_000):
+            profilers = _run_listeners(self.CHURN.format(trips=trips),
+                                       compile_, MemDepProfiler(),
+                                       PointsToProfiler())
+            counts = []
+            for profiler in profilers:
+                owned, memory = _owned(profiler)
+                assert memory == []
+                counts.append(len(owned))
+            sizes.append(counts)
+        assert sizes[0] == sizes[1]
 
 
 class TestBundle:
