@@ -27,6 +27,7 @@ class AnalysisContext:
         self._loops: Dict[int, LoopInfo] = {}
         self._scev: Dict[int, ScalarEvolution] = {}
         self._scan_trace: Set[Tuple[str, str]] = set()
+        self._scan_scope: Optional[Set[Tuple[str, str]]] = None
 
     # -- scan tracing ------------------------------------------------------
     #
@@ -40,7 +41,21 @@ class AnalysisContext:
         """Record that the current analysis swept ``kind``/``name``
         (e.g. ``("global", "counter")`` for a users-of-global scan or
         ``("function", "helper")`` for a profile-site anchor)."""
-        self._scan_trace.add((kind, name))
+        note = (kind, name)
+        self._scan_trace.add(note)
+        if self._scan_scope is not None:
+            self._scan_scope.add(note)
+
+    def scope_scans(self, notes: Optional[Set[Tuple[str, str]]]
+                    ) -> Optional[Set[Tuple[str, str]]]:
+        """Also add every later note to ``notes`` (``None``: to no set)
+        until the next call, and return the set this call replaces, so
+        a nested caller can restore it.  The orchestrator scopes each
+        evaluation this way to learn exactly which sweeps a memoized
+        answer depends on, whatever the trace already held."""
+        outer = self._scan_scope
+        self._scan_scope = notes
+        return outer
 
     def reset_scan_trace(self) -> None:
         """Clear the trace before analysing a new loop."""

@@ -9,10 +9,9 @@ module can contribute to any other module's reasoning.
 
 from __future__ import annotations
 
-import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from ..ir import CallInst
 from ..obs.trace import current_tracer
@@ -62,11 +61,6 @@ class OrchestratorConfig:
     bailout_policy: str = BailoutPolicy.BASE
     max_premise_depth: int = 6
     use_cache: bool = True
-    #: Upper bound on memoized responses (LRU eviction); ``None`` keeps
-    #: the historical unbounded behaviour.  Long-lived serving processes
-    #: (see :mod:`repro.service`) should set a bound so the cache cannot
-    #: grow without limit across requests.
-    max_cache_entries: Optional[int] = None
     track_contributors: bool = True
     #: Figure 10 ablation: when False, the Desired Result parameter is
     #: stripped from premise queries, so responders cannot bail out
@@ -82,7 +76,6 @@ class OrchestratorStats:
     premise_queries: int = 0
     cache_hits: int = 0
     cache_lookups: int = 0
-    cache_evictions: int = 0
     cache_size: int = 0
     cycles_cut: int = 0
     module_evals: Dict[str, int] = field(default_factory=dict)
@@ -100,6 +93,49 @@ class OrchestratorStats:
         return sum(self.module_evals.values())
 
 
+Answer = Tuple[QueryResponse, FrozenSet[str]]
+
+
+class _Frame:
+    """What one evaluation's subtree touched (see
+    :meth:`Orchestrator._handle`).
+
+    The frame of a top-level query collects straight into the
+    orchestrator's ``consulted_functions``; it is never memoized.
+    """
+
+    __slots__ = ("cuts", "consulted", "scans")
+
+    def __init__(self, consulted: Optional[Set[str]] = None):
+        #: In-flight keys the subtree was answered conservatively
+        #: against; ``None`` while no cycle cut has happened.
+        self.cuts: Optional[Set[tuple]] = None
+        #: Functions named by the subtree's premise queries.
+        self.consulted: Set[str] = set() if consulted is None else consulted
+        #: Scan notes the subtree recorded.
+        self.scans: Set[Tuple[str, str]] = set()
+
+    def taint(self, cuts) -> None:
+        """Mark the subtree cut against ``cuts`` (tainted even if empty)."""
+        if self.cuts is None:
+            self.cuts = set(cuts)
+        else:
+            self.cuts.update(cuts)
+
+
+class _Entry(NamedTuple):
+    """A memoized answer plus what its subtree touched, replayed on
+    every hit: a later loop served from the memo still depends on the
+    functions and whole-module sweeps the first evaluation consulted."""
+
+    answer: Answer
+    #: ``None`` for a cut-free answer; else the keys that were in flight
+    #: outside this query when its subtree cut a cycle against them.
+    cuts: Optional[Set[tuple]]
+    consulted: Set[str]
+    scans: Set[Tuple[str, str]]
+
+
 class Orchestrator:
     """Coordinates modules; see Algorithm 1."""
 
@@ -112,8 +148,10 @@ class Orchestrator:
             modules,
             key=lambda m: (m.is_speculative, m.average_assertion_cost))
         self.stats = OrchestratorStats()
-        self._cache: "OrderedDict[tuple, Tuple[QueryResponse, FrozenSet[str]]]" \
-            = OrderedDict()
+        #: Memoized answers by query key.  A cut-free entry is
+        #: context-free; a cut-tainted one (the latest per key) is
+        #: served only from inside the cycle it was cut in.
+        self._memo: Dict[tuple, _Entry] = {}
         self._inflight: Set[tuple] = set()
         #: Contributor module names of the most recent top-level query.
         self.last_contributors: FrozenSet[str] = frozenset()
@@ -121,11 +159,6 @@ class Orchestrator:
         #: touched since the last :meth:`reset_consulted` — the raw
         #: material of a cached answer's dependence footprint.
         self.consulted_functions: Set[str] = set()
-        #: Scan notes (see AnalysisContext.note_scan) recorded while a
-        #: memoized query was first evaluated, replayed on every hit:
-        #: a later loop served from the memo still depends on the
-        #: whole-module sweeps the original evaluation performed.
-        self._scan_notes: dict = {}
         self._analysis_context = next(
             (m.context for m in self.modules
              if getattr(m, "context", None) is not None), None)
@@ -135,16 +168,17 @@ class Orchestrator:
     def handle(self, query: Query) -> QueryResponse:
         """Resolve a client query (Algorithm 1)."""
         self.stats.queries += 1
+        root = _Frame(self.consulted_functions)
         tracer = current_tracer()
         if not tracer.enabled:
-            response, contributors = self._handle(query, depth=0)
+            response, contributors = self._handle(query, 0, root)
             self.last_contributors = contributors
             return response
         # Top-level queries are the sampling roots: a skipped query
         # suppresses its whole subtree (module evals, premises).
         with tracer.span("query", cat="query", sample=True,
                          kind=type(query).__name__) as span:
-            response, contributors = self._handle(query, depth=0)
+            response, contributors = self._handle(query, 0, root)
             span.set(result=str(response.result.value),
                      conservative=response.is_conservative,
                      contributors=sorted(contributors))
@@ -152,13 +186,12 @@ class Orchestrator:
         return response
 
     def clear_cache(self) -> None:
-        self._cache.clear()
-        self._scan_notes.clear()
+        self._memo.clear()
         self.stats.cache_size = 0
 
     def reset_stats(self) -> None:
         """Zero all counters (the memo cache itself is kept)."""
-        self.stats = OrchestratorStats(cache_size=len(self._cache))
+        self.stats = OrchestratorStats(cache_size=len(self._memo))
 
     def reset_consulted(self) -> None:
         """Start a fresh consulted-function trace (call per loop)."""
@@ -166,8 +199,9 @@ class Orchestrator:
 
     # -- internals -----------------------------------------------------------
 
-    def _note_consulted(self, query: Query) -> None:
-        """Record which functions ``query`` exposes to the modules.
+    def _note_consulted(self, query: Query, noted: Set[str]) -> None:
+        """Record in ``noted`` which functions ``query`` exposes to the
+        modules.
 
         Every function named by the query's operands, loop, CFG view,
         or calling context (and the callee of any call instruction
@@ -176,7 +210,6 @@ class Orchestrator:
         :func:`repro.service.worker.loop_footprint` — is the cached
         answer's dependence footprint.
         """
-        noted = self.consulted_functions
 
         def note_value(value) -> None:
             name = _function_name_of(value)
@@ -206,81 +239,94 @@ class Orchestrator:
         if cfg is not None and getattr(cfg, "function", None) is not None:
             noted.add(cfg.function.name)
 
-    def _handle(self, query: Query, depth: int
-                ) -> Tuple[QueryResponse, FrozenSet[str]]:
+    def _handle(self, query: Query, depth: int, parent: _Frame) -> Answer:
+        """Answer ``query`` for the evaluation whose frame is ``parent``.
+
+        Probe order: a cut-free entry (for the exact key, then a
+        desired-free one for a desired-result variant), the in-flight
+        check, a cut-tainted entry (exact key only), and only then
+        evaluation.  A cut-free key cannot be in flight.  A cut-tainted
+        entry is served only while every key it was cut against is
+        still in flight, i.e. from inside the same cycle; probing it
+        after the in-flight check makes a re-entered key cut rather
+        than answer from a stale entry.
+        """
         key = query.key()
         # Trace before the memo probe: a memoized answer still makes
         # the final result depend on the functions this query names.
-        self._note_consulted(query)
+        self._note_consulted(query, parent.consulted)
         tracer = current_tracer()
+        entry = None
         if self.config.use_cache:
             self.stats.cache_lookups += 1
-            if key in self._cache:
-                self.stats.cache_hits += 1
-                self._cache.move_to_end(key)
-                self._replay_scan_notes(key)
-                if tracer.enabled:
-                    tracer.event("cache_hit", depth=depth)
-                return self._cache[key]
+            entry = self._memo.get(key)
+            if entry is not None and entry.cuts is None:
+                return self._serve(entry, parent, tracer, depth)
             # A fully-evaluated (desired-free) cached answer serves any
             # desired-result variant of the same query.
             if isinstance(query, AliasQuery) and query.desired is not None:
-                stripped_key = query.with_desired(None).key()
-                if stripped_key in self._cache:
-                    self.stats.cache_hits += 1
-                    self._cache.move_to_end(stripped_key)
-                    self._replay_scan_notes(stripped_key)
-                    if tracer.enabled:
-                        tracer.event("cache_hit", depth=depth,
-                                     stripped=True)
-                    return self._cache[stripped_key]
+                stripped = self._memo.get(query.with_desired(None).key())
+                if stripped is not None and stripped.cuts is None:
+                    return self._serve(stripped, parent, tracer, depth,
+                                       stripped=True)
         if key in self._inflight:
             # A module is asking (transitively) about its own query;
             # answer conservatively to cut the cycle.
             self.stats.cycles_cut += 1
             if tracer.enabled:
                 tracer.event("cycle_cut", depth=depth)
+            parent.taint((key,))
             return QueryResponse.conservative(query.result_type), frozenset()
+        if entry is not None and entry.cuts <= self._inflight:
+            return self._serve(entry, parent, tracer, depth, cut=True)
 
-        self._inflight.add(key)
-        cuts_before = self.stats.cycles_cut
+        frame = _Frame()
         ctx = self._analysis_context
-        scans_before = ctx.scan_trace() if ctx is not None else frozenset()
+        outer_scans = ctx.scope_scans(frame.scans) if ctx is not None \
+            else None
+        self._inflight.add(key)
         try:
-            result = self._evaluate_modules(query, depth)
+            result = self._evaluate_modules(query, depth, frame)
         finally:
             self._inflight.discard(key)
-
-        # A cycle cut anywhere in this evaluation's subtree replaced a
-        # premise with the conservative answer; the result is sound but
-        # context-dependent (the same query asked outside the cycle may
-        # resolve more precisely), so it must not be memoized.
-        cycle_tainted = self.stats.cycles_cut > cuts_before
-        if self.config.use_cache and not cycle_tainted:
-            self._cache[key] = result
             if ctx is not None:
-                scans = ctx.scan_trace() - scans_before
-                if scans:
-                    self._scan_notes[key] = scans
-            limit = self.config.max_cache_entries
-            if limit is not None:
-                while len(self._cache) > limit:
-                    evicted, _ = self._cache.popitem(last=False)
-                    self._scan_notes.pop(evicted, None)
-                    self.stats.cache_evictions += 1
-            self.stats.cache_size = len(self._cache)
+                ctx.scope_scans(outer_scans)
+        parent.consulted |= frame.consulted
+        parent.scans |= frame.scans
+
+        # A cycle cut in this subtree replaced a premise with the
+        # conservative answer: the result is sound but holds only while
+        # the keys it was cut against are in flight (asked outside the
+        # cycle, the query may resolve more precisely).  Its own key is
+        # dropped from the set: any evaluation of it re-cuts there.
+        cuts = frame.cuts
+        if cuts is not None:
+            cuts.discard(key)
+            parent.taint(cuts)
+        if self.config.use_cache:
+            self._memo[key] = _Entry(result, cuts, frame.consulted,
+                                     frame.scans)
+            self.stats.cache_size = len(self._memo)
         return result
 
-    def _replay_scan_notes(self, key: tuple) -> None:
-        """Re-record the whole-module sweeps behind a memoized answer
-        into the analysis context's (possibly reset) scan trace."""
-        notes = self._scan_notes.get(key)
-        if notes and self._analysis_context is not None:
-            for kind, name in notes:
-                self._analysis_context.note_scan(kind, name)
+    def _serve(self, entry: _Entry, parent: _Frame, tracer, depth: int,
+               **event) -> Answer:
+        """A memo hit: replay what the entry's subtree touched into
+        ``parent`` (and the analysis context's scan trace)."""
+        self.stats.cache_hits += 1
+        parent.consulted |= entry.consulted
+        if entry.scans:
+            ctx = self._analysis_context
+            for kind, name in entry.scans:
+                ctx.note_scan(kind, name)
+        if entry.cuts is not None:
+            parent.taint(entry.cuts)
+        if tracer.enabled:
+            tracer.event("cache_hit", depth=depth, **event)
+        return entry.answer
 
-    def _evaluate_modules(self, query: Query, depth: int
-                          ) -> Tuple[QueryResponse, FrozenSet[str]]:
+    def _evaluate_modules(self, query: Query, depth: int, frame: _Frame
+                          ) -> Answer:
         final = QueryResponse.conservative(query.result_type)
         contributors: Set[str] = set()
         tracer = current_tracer()
@@ -288,7 +334,7 @@ class Orchestrator:
         for module in self.modules:
             self.stats.module_evals[module.name] = \
                 self.stats.module_evals.get(module.name, 0) + 1
-            resolver = _PremiseResolver(self, module, depth)
+            resolver = _PremiseResolver(self, module, depth, frame)
             if tracer.enabled:
                 with tracer.span("eval", cat="module_eval",
                                  module=module.name) as span:
@@ -365,10 +411,11 @@ class _PremiseResolver(Resolver):
     """Routes a module's premise queries back through the Orchestrator."""
 
     def __init__(self, orchestrator: Orchestrator, module: AnalysisModule,
-                 depth: int):
+                 depth: int, frame: _Frame):
         self.orchestrator = orchestrator
         self.module = module
         self.depth = depth
+        self.frame = frame
         self.contributors: Set[str] = set()
 
     def premise(self, query: Query) -> QueryResponse:
@@ -390,13 +437,14 @@ class _PremiseResolver(Resolver):
         if not orch.config.use_desired_result and \
                 isinstance(query, AliasQuery) and query.desired is not None:
             stripped, contributors = orch._handle(
-                query.with_desired(None), self.depth + 1)
+                query.with_desired(None), self.depth + 1, self.frame)
             if stripped.result == query.desired and \
                     not stripped.is_conservative:
                 self.contributors.update(contributors)
                 return stripped
             return QueryResponse.conservative(query.result_type)
-        response, contributors = orch._handle(query, self.depth + 1)
+        response, contributors = orch._handle(query, self.depth + 1,
+                                              self.frame)
         # Honour the Desired Result parameter (§3.2.2): when the asker
         # needs one specific answer and did not get it, the response is
         # useless to it; normalizing to conservative keeps modules'

@@ -34,6 +34,10 @@ every v1 verb is unchanged):
 ``hello`` may now carry ``{"tag": <name>}``: a friendly client tag
 the daemon uses to label this session's per-client metric series
 instead of the ephemeral session id.
+
+Protocol v3 removes ``max_cache_entries`` from a request's ``config``
+(the orchestrator no longer has a bounded memo).  A request whose
+config still carries it is answered with ``BAD_REQUEST``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from ..core.orchestrator import OrchestratorConfig
 from ..service.requests import AnalysisRequest
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Default rendezvous for ``repro serve`` / ``repro submit``.
 DEFAULT_ADDR = "unix:.repro-daemon.sock"

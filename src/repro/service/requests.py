@@ -66,13 +66,13 @@ def system_module_roster(system: str) -> Tuple[str, ...]:
 
 
 #: OrchestratorConfig fields that cannot change a computed answer:
-#: ``use_cache``/``max_cache_entries`` only tune the in-process memo
-#: cache (the memoization is answer-transparent), and
-#: ``track_contributors`` only toggles provenance bookkeeping.
-#: Hashing them into the persistent cache key would bust the on-disk
-#: cache every time a client flips a memo knob, so they are excluded.
+#: ``use_cache`` only toggles the in-process memo cache (the
+#: memoization is answer-transparent), and ``track_contributors`` only
+#: toggles provenance bookkeeping.  Hashing them into the persistent
+#: cache key would bust the on-disk cache every time a client flips a
+#: memo knob, so they are excluded.
 ANSWER_IRRELEVANT_CONFIG_FIELDS = frozenset({
-    "use_cache", "max_cache_entries", "track_contributors",
+    "use_cache", "track_contributors",
 })
 
 

@@ -259,6 +259,28 @@ class TestRoundTrip:
         finally:
             daemon.stop()
 
+    def test_removed_config_field_is_typed_and_session_survives(
+            self, tmp_path):
+        """Protocol v3 dropped ``max_cache_entries`` from the request
+        config: a v2-style submit that still carries it gets a typed
+        ``BAD_REQUEST``, and the same session keeps serving."""
+        from repro.core.orchestrator import OrchestratorConfig
+        request = AnalysisRequest("t", make_source(), system="caf",
+                                  config=OrchestratorConfig())
+        stale = protocol.request_to_wire(request)
+        stale["config"]["max_cache_entries"] = 7
+        daemon, addr = start_daemon(tmp_path, service=hollow_service())
+        try:
+            with DaemonClient(addr) as c:
+                with pytest.raises(DaemonError) as info:
+                    c._rpc({"verb": "submit", "requests": [stale]})
+                assert info.value.code == protocol.ERR_BAD_REQUEST
+                assert "max_cache_entries" in str(info.value)
+                assert c.ping()["ok"]
+                assert c.run_batch([request]) == [[]]
+        finally:
+            daemon.stop()
+
 
 # -- frame size limit --------------------------------------------------------
 

@@ -177,7 +177,6 @@ class TestVersionKey:
         fields still must."""
         base = AnalysisRequest("t", make_source(), system="scaf")
         for config in (OrchestratorConfig(use_cache=False),
-                       OrchestratorConfig(max_cache_entries=7),
                        OrchestratorConfig(track_contributors=False)):
             twin = AnalysisRequest("t", make_source(), system="scaf",
                                    config=config)
