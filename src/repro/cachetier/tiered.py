@@ -216,9 +216,10 @@ class TieredCache:
         self._pull_lineage(lineage_key)
         return self.l1.has_lineage(lineage_key)
 
-    def lookup_profile(self, lineage_key: str) -> Optional[CacheEntryMeta]:
+    def lookup_profile(self, lineage_key: str,
+                       workload: str) -> Optional[CacheEntryMeta]:
         self._pull_lineage(lineage_key)
-        return self.l1.lookup_profile(lineage_key)
+        return self.l1.lookup_profile(lineage_key, workload)
 
     def lookup_footprints(self, lineage_key: str, loops: Sequence[str],
                           fingerprints: Mapping[str, str],

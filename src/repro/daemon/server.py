@@ -518,9 +518,7 @@ class AnalysisDaemon:
 
         try:
             answers = self.service.scheduler.run_batch(
-                [self.service._with_default_config(r)
-                 for r in job.requests],
-                client=job.client_tag, on_answer=on_answer)
+                job.requests, client=job.client_tag, on_answer=on_answer)
             job.answers = [[loop_answer_to_dict(a) for a in group]
                            for group in answers]
             job.status = (JOB_CANCELLED if job.cancel_requested

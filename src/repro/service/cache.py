@@ -30,11 +30,12 @@ Schema v3 extends the meta row with the training run's *profile
 provenance*: the hot loops' time fractions (feeds the queue
 scheduler's longest-processing-time-first ordering), the executed
 function scope, and a digest of that scope's content hashes
-(``profile_scope_digest``).  :meth:`lookup_profile` returns the
-freshest such row of a lineage so an incremental probe can reuse the
-prior hot-loop roster *without re-interpreting* an edited module when
-the edit is provably outside every executed function.  Pre-v3 rows
-migrate with empty provenance and simply never allow roster reuse.
+(``profile_scope_digest``).  :meth:`lookup_profile` returns a
+workload's freshest such row in a lineage so an incremental probe can
+reuse the prior hot-loop roster *without re-interpreting* an edited
+module when the edit is provably outside every executed function.
+Pre-v3 rows migrate with empty provenance and simply never allow
+roster reuse.
 
 Schema v4 adds ``total_instructions`` to the meta row: the training
 run's total dynamic instruction count, which scales the per-loop time
@@ -273,23 +274,29 @@ class ResultCache:
             return None
         return self._meta_from_row(row)
 
-    def lookup_profile(self, lineage_key: str) -> Optional[CacheEntryMeta]:
-        """The freshest meta row of a lineage carrying full profile
-        provenance (executed scope + scope digest), or ``None``.
+    def lookup_profile(self, lineage_key: str,
+                       workload: str) -> Optional[CacheEntryMeta]:
+        """The freshest meta row of one workload in a lineage carrying
+        full profile provenance (executed scope + scope digest), or
+        ``None``.
 
         This is the roster-reuse entry point: the incremental probe
         recomputes the scope digest against an *edited* module's
         fingerprints, and an equal digest proves the deterministic
         training run is unchanged — hot-loop roster and time fractions
-        carry over with zero re-interpretation.
+        carry over with zero re-interpretation.  The lineage key
+        ignores the workload name, so many programs share a lineage;
+        the name is the family key that survives an edit, and a row
+        of another program would never prove anything.
         """
         if not lineage_key:
             return None
         row = self._with_retry(lambda: self._conn.execute(
             f"SELECT {self._META_COLUMNS} FROM meta"
-            " WHERE lineage_key = ? AND profile_scope_digest != ''"
+            " WHERE lineage_key = ? AND workload = ?"
+            " AND profile_scope_digest != ''"
             " ORDER BY created_at DESC LIMIT 1",
-            (lineage_key,)).fetchone())
+            (lineage_key, workload)).fetchone())
         if row is None:
             return None
         return self._meta_from_row(row)

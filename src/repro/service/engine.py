@@ -8,9 +8,10 @@ prepared-module LRU in each worker) could only pay off *within* a
 batch.  :class:`WorkEngine` lifts exactly that machinery into an
 object with its own lifetime:
 
-- one **priority heap** shared by every in-flight batch (discovery
-  tasks first, then longest-processing-time-first by *instruction-
-  weighted* profiled time fraction — see :func:`lpt_weight`);
+- one **priority heap** shared by every in-flight batch (lead tasks,
+  which report a module's unknown hot-loop roster, first; then
+  longest-processing-time-first by *instruction-weighted* profiled
+  time fraction — see :func:`lpt_weight`);
 - one **lane per worker** (:class:`_Slot`): a single-worker executor
   holding at most one task at a time, so the number of tasks in
   flight never exceeds ``workers`` and an idle lane always takes the
@@ -19,8 +20,8 @@ object with its own lifetime:
   delivers each outcome (``ok`` / ``failure`` / ``timeout`` /
   ``cancelled``) back to the batch that enqueued it through a
   per-ticket callback.  Every delivery runs on the dispatcher thread,
-  so batch bookkeeping (the outstanding-task countdown, discovery
-  fan-out) needs no locks;
+  so batch bookkeeping (the outstanding-task countdown, enqueueing a
+  lead's followers) needs no locks;
 - **per-lane rebuilds**: a task past ``task_timeout_s`` or whose
   worker died is delivered as ``timeout`` / ``failure`` and only its
   own lane gets a fresh worker; the fleet is torn down after
@@ -97,8 +98,8 @@ def lpt_weight(fraction: float, total_instructions: int) -> float:
     return fraction * max(1.0, float(total_instructions))
 
 
-#: Loop-name placeholder when a task degraded before the hot-loop
-#: roster was discovered (mirrors scheduler.UNKNOWN_LOOPS).
+#: Loop-name placeholder for a lead's spans: its loop is not known
+#: at dispatch (mirrors scheduler.UNKNOWN_LOOPS).
 _UNKNOWN = "*"
 
 
@@ -108,7 +109,7 @@ class Ticket:
     ``deliver(ticket, outcome, result, error)`` is invoked exactly
     once, on the dispatcher thread, with outcome one of ``ok`` /
     ``failure`` / ``timeout`` / ``cancelled`` / ``fatal``.  ``weight``
-    is the task's :func:`lpt_weight` (0 for discovery tasks).
+    is the task's :func:`lpt_weight` (0 for lead tasks).
     """
 
     __slots__ = ("task", "key", "weight", "client", "enqueued_at",
@@ -407,7 +408,7 @@ class WorkEngine:
                     return
                 self._idle_since = now
             # Deliveries happen outside the lock: deliver callbacks may
-            # re-enter submit() (discovery fan-out) or run batch logic.
+            # re-enter submit() (a lead's followers) or run batch logic.
             for ticket in cancelled:
                 self.telemetry.count("tasks_cancelled")
                 self._observe(ticket, "cancelled", 0.0)

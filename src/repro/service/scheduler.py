@@ -10,20 +10,23 @@ Batches of :class:`AnalysisRequest` flow through four stages:
    persistent :class:`ResultCache` are answered without touching the
    worker pool.  On an exact-key miss the probe goes *incremental*:
    if the cache holds rows from the same request lineage (same entry/
-   system/config, different IR text), the scheduler first tries to
-   *reuse the prior training run outright* — when the edit is
-   fingerprint-provably outside every executed function, the stored
-   hot-loop roster and time fractions carry over with zero
-   interpretation — and otherwise re-profiles the edited module
-   inline; either way it serves every loop whose dependence-footprint
-   digest is unchanged, and the key's worker demand narrows to the
-   dirtied loops.
+   system/config, different IR text), the scheduler parses the edited
+   module once and revalidates the lineage's cached answers by
+   dependence-footprint digest.  When the edit is fingerprint-provably
+   outside everything the workload's prior training run executed,
+   that run's hot-loop roster and time fractions carry over with zero
+   interpretation and the revalidated answers are served at once;
+   otherwise they wait for the key's lead task to report the fresh
+   roster.  Either way the key's worker demand narrows to the
+   dirtied loops.  The scheduler never profiles a module itself.
 3. **Enqueue.**  Remaining keys feed one **global, loop-granular work
    queue** (the resident :class:`~repro.service.engine.WorkEngine`)
    shared across every in-flight request.  Each key contributes one
-   :class:`LoopTask` per (version key, loop) — or a single *discovery*
-   task when the roster is unknown — ordered longest-processing-time-
-   first by instruction-weighted profiled time fraction (discovery
+   :class:`LoopTask` per (version key, loop) — or, when the roster is
+   unknown, a single *lead* task that profiles the module, analyzes
+   its hottest wanted loop and reports the roster, with the key's
+   other loops queued behind it — ordered longest-processing-time-
+   first by instruction-weighted profiled time fraction (leads
    first).  Each worker lane pulls the best queued task as it frees
    up, so tiny requests finish while a huge module is still being
    chewed: no per-request barrier, results stream back per loop.
@@ -35,9 +38,9 @@ Batches of :class:`AnalysisRequest` flow through four stages:
    tail-latency headline ``request_completion_s``).
 4. **Degradation.**  A task that exceeds its deadline or whose worker
    dies is answered with a conservative fallback (every dependence
-   kept, %NoDep = 0) for its single loop instead of failing the
-   batch; only that task's worker lane is rebuilt, so the remaining
-   queue still runs.
+   kept, %NoDep = 0) for its single loop — for a lead, for the key's
+   whole unknown demand — instead of failing the batch; only that
+   task's worker lane is rebuilt, so the remaining queue still runs.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..clients import hot_loops
 from ..ir import (
     module_content_fingerprints,
     module_header_fingerprint,
@@ -57,22 +59,20 @@ from ..ir import (
 from ..obs.trace import TraceSpec, current_tracer
 from .answers import STATUS_COMPUTED, STATUS_FALLBACK, LoopAnswer, \
     fallback_answer
-from .cache import ResultCache
+from .cache import CacheEntryMeta, FootprintHit, ResultCache
 from .engine import Ticket, WorkEngine, lpt_weight
 from .requests import AnalysisRequest, loop_footprint_digest, \
-    profile_digest, system_module_roster
+    system_module_roster
 from .telemetry import ServiceTelemetry
 from .worker import (
     DEFAULT_PREPARED_CACHE_SIZE,
     LoopTask,
     LoopTaskResult,
-    executed_function_scope,
-    prepare_request,
     run_loop_task,
 )
 
-#: Loop-name placeholder when a task degraded before the hot-loop
-#: roster was discovered.
+#: Loop-name placeholder when a lead degraded before the hot-loop
+#: roster was known.
 UNKNOWN_LOOPS = "*"
 
 
@@ -115,7 +115,7 @@ class _KeyWork:
     #: Original requests deduplicated into this key; completion
     #: latency is recorded once per unit of demand.
     demand: int = 1
-    hot_loops: Tuple[str, ...] = ()     # discovered roster
+    hot_loops: Tuple[str, ...] = ()     # known roster, hottest first
     #: Loop name -> profiled time fraction (LPT ordering + persistence).
     hot_fractions: Dict[str, float] = field(default_factory=dict)
     #: Total dynamic instructions of the training run; scales the
@@ -134,7 +134,10 @@ class _KeyWork:
     #: Functions whose content could have influenced the training run
     #: (persisted so later probes can prove roster reuse).
     executed_functions: Tuple[str, ...] = ()
-    #: True when the incremental probe served at least one loop — the
+    #: Cached answers the incremental probe revalidated, held until
+    #: the roster is known (see ``BatchScheduler._serve_clean``).
+    clean: Dict[str, FootprintHit] = field(default_factory=dict)
+    #: True when at least one revalidated answer was served — the
     #: full roster is then re-persisted under this (new) version key
     #: even if nothing needed recomputing.
     refreshed: bool = False
@@ -154,7 +157,6 @@ class BatchScheduler:
                  cache: Optional[ResultCache] = None,
                  telemetry: Optional[ServiceTelemetry] = None,
                  task_timeout_s: Optional[float] = None,
-                 loop_timeout_s: Optional[float] = None,
                  prepared_cache_size: Optional[int] = None,
                  idle_ttl_s: Optional[float] = None,
                  loop_runner: Callable[[LoopTask], LoopTaskResult]
@@ -163,7 +165,6 @@ class BatchScheduler:
         self.executor_kind = executor
         self.cache = cache
         self.telemetry = telemetry or ServiceTelemetry(max(1, self.workers))
-        self.loop_timeout_s = loop_timeout_s
         # `is None` check, not an `or`-default: an explicit 0 must be
         # rejected loudly rather than silently become the default.
         if prepared_cache_size is None:
@@ -281,14 +282,13 @@ class BatchScheduler:
     def _probe_incremental(self, entry: _KeyWork) -> bool:
         """Serve the loops an edit left untouched; narrow the rest.
 
-        Derives the edited module's per-function content hashes,
-        obtains a hot-loop roster — by provable reuse of the prior
-        training run when possible, by re-profiling inline otherwise
-        (interpretation only — no analysis-module evaluations) — and
-        revalidates the lineage's cached rows by footprint digest.
-        Returns True when *every* requested loop was served; on a
-        partial hit the key's loop demand shrinks to the dirty loops
-        and the key stays pending.
+        Parses the edited module once for its per-function content
+        hashes, reuses the workload's prior hot-loop roster when
+        provable, and revalidates the lineage's cached rows by
+        footprint digest — no interpretation here.  Returns True when
+        *every* requested loop was served; otherwise the key stays
+        pending, and revalidated rows that still lack a roster wait
+        for the key's lead task.
         """
         tel = self.telemetry
         lineage = entry.request.lineage_key()
@@ -299,96 +299,84 @@ class BatchScheduler:
                                    workload=entry.request.name):
             return self._probe_incremental_inner(entry, lineage)
 
-    def _reuse_roster(self, entry: _KeyWork, lineage: str
-                      ) -> Optional[Tuple[Tuple[str, ...],
-                                          Dict[str, float]]]:
-        """Reuse a prior training run's hot-loop roster when provable.
+    def _reuse_roster(self, entry: _KeyWork,
+                      prior: CacheEntryMeta) -> bool:
+        """Adopt the workload's prior training run when provable.
 
         The interpreter is deterministic, so the profile is a pure
-        function of the executed code: if every function that
+        function of the executed code: if every entity that
         participated in the prior run (executed definitions, the
-        entry, all declarations) plus the module header is
+        entry, all declarations, the globals and structs they read) is
         byte-identical in the edited module, the new training run
         *would* replay the prior one instruction for instruction.
-        This only **parses** the edited module — zero interpretation —
-        and compares the recomputed executed-scope digest against the
-        stored one.  Returns ``(roster, fractions)`` on proof, else
-        ``None`` (caller re-profiles).
+        Compares the executed-scope digest recomputed from the edited
+        module's fingerprints with the stored one; on proof the prior
+        roster, time fractions and profile provenance carry over.
         """
-        if self.cache is None:
-            return None
-        prior = self.cache.lookup_profile(lineage)
-        if prior is None:
-            return None
-        try:
-            module = parse_module(entry.request.source,
-                                  name=entry.request.name)
-            verify_module(module)
-        except Exception:
-            return None  # unparseable: let the worker report
-        fingerprints = module_content_fingerprints(module)
-        header = module_header_fingerprint(module)
         digest = loop_footprint_digest(prior.executed_functions,
-                                       fingerprints, header)
+                                       entry.fingerprints,
+                                       entry.header_fingerprint)
         if digest is None or digest != prior.profile_scope_digest:
-            return None  # edit touches the executed scope: re-profile
-        entry.fingerprints = fingerprints
-        entry.header_fingerprint = header
+            return False  # edit touches the executed scope: a lead profiles
+        entry.hot_loops = prior.hot_loops
+        entry.hot_fractions = {name: float(frac) for name, frac
+                               in prior.hot_fractions.items()}
         entry.profile_digest = prior.profile_digest
         entry.executed_functions = prior.executed_functions
         entry.total_instructions = prior.total_instructions
         self.telemetry.count("profile_reuses")
         current_tracer().event("profile_reuse",
                                workload=entry.request.name)
-        return prior.hot_loops, {name: float(frac) for name, frac
-                                 in prior.hot_fractions.items()}
+        return True
 
     def _probe_incremental_inner(self, entry: _KeyWork,
                                  lineage: str) -> bool:
-        tel = self.telemetry
-        reused = self._reuse_roster(entry, lineage)
-        if reused is not None:
-            roster, fractions = reused
-        else:
-            try:
-                module, _context, profiles = prepare_request(entry.request)
-            except Exception:
-                return False  # unrunnable: let the worker report
-            hot = hot_loops(profiles)
-            if not hot:
-                return False
-            entry.fingerprints = module_content_fingerprints(module)
-            entry.header_fingerprint = module_header_fingerprint(module)
-            entry.profile_digest = profile_digest(profiles)
-            entry.executed_functions = executed_function_scope(
-                module, profiles, entry.request.entry)
-            entry.total_instructions = profiles.total_instructions
-            roster = tuple(h.name for h in hot)
-            fractions = {h.name: h.time_fraction for h in hot}
-        entry.hot_fractions = dict(fractions)
-        # Even when nothing revalidates, the roster steers the queue
-        # (skips the discovery task) and LPT ordering.
-        entry.hot_loops = roster
-        wanted = tuple(n for n in (entry.loops or roster) if n in fractions)
-        hits = self.cache.lookup_footprints(
+        request = entry.request
+        prior = self.cache.lookup_profile(lineage, request.name)
+        wanted = entry.loops or (prior.hot_loops if prior else ())
+        if not wanted:
+            return False  # no profiled row of this workload: run cold
+        try:
+            module = parse_module(request.source, name=request.name)
+            verify_module(module)
+        except Exception:
+            return False  # unparseable: let the worker report
+        entry.fingerprints = module_content_fingerprints(module)
+        entry.header_fingerprint = module_header_fingerprint(module)
+        if prior is not None:
+            self._reuse_roster(entry, prior)
+        entry.clean = self.cache.lookup_footprints(
             lineage, wanted, entry.fingerprints, entry.header_fingerprint)
-        if not hits:
-            return False
-        entry.refreshed = True
-        for name, hit in hits.items():
+        return bool(entry.hot_loops) and not self._serve_clean(entry)
+
+    def _serve_clean(self, entry: _KeyWork) -> Tuple[str, ...]:
+        """Serve the held revalidated answers once the key's roster is
+        known, and narrow its demand to the dirty loops.
+
+        Runs when the probe proves the roster and when a lead's roster
+        lands.  Returns the wanted hot loops still unanswered.
+        """
+        tel = self.telemetry
+        roster = entry.hot_loops
+        for name, hit in entry.clean.items():
+            if name not in roster:
+                continue  # no longer hot
             # The cached answer predates the edit; its dependence facts
             # are revalidated, but the loop's share of profiled time is
             # refreshed from the (possibly reused) training run.
             entry.answers[name] = replace(
-                hit.answer, time_fraction=fractions[name])
+                hit.answer, time_fraction=entry.hot_fractions.get(
+                    name, hit.answer.time_fraction))
             entry.footprints[name] = hit.footprint
+            entry.refreshed = True
             tel.count("loops_incremental")
             tel.count("loops_from_cache")
-        missing = tuple(n for n in wanted if n not in entry.answers)
-        if missing:
-            entry.loops = missing  # workers recompute only the dirty loops
-            return False
-        return True
+        entry.clean = {}
+        dirty = tuple(n for n in (entry.loops or roster)
+                      if n in roster and n not in entry.answers)
+        if dirty:
+            entry.loops = dirty  # workers recompute only the dirty loops
+        return dirty
 
     # -- completion accounting -----------------------------------------------
 
@@ -410,41 +398,45 @@ class BatchScheduler:
 
     # -- stage 3: the global loop-granular work queue ------------------------
 
-    def _known_roster(self, key: str, entry: _KeyWork
-                      ) -> Optional[Tuple[Tuple[str, ...],
-                                          Dict[str, float]]]:
+    def _known_loops(self, key: str, entry: _KeyWork
+                     ) -> Optional[Tuple[str, ...]]:
         """The loops this key must run, when knowable without a
-        worker: from the incremental probe, a prior meta row, or an
-        explicit loop subset.  ``None`` forces a discovery task."""
-        if entry.hot_loops:
-            return entry.hot_loops, dict(entry.hot_fractions)
-        if self.cache is not None:
+        worker: the dirty hot loops of a roster from the incremental
+        probe or a prior meta row, or an explicit loop subset while no
+        revalidated answer waits for a roster.  ``None`` sends a
+        lead."""
+        if not entry.hot_loops and self.cache is not None:
             meta = self.cache.meta(key)
             if meta is not None and meta.hot_loops:
+                entry.hot_loops = meta.hot_loops
                 entry.hot_fractions = dict(meta.hot_fractions)
                 entry.total_instructions = meta.total_instructions
-                return meta.hot_loops, dict(meta.hot_fractions)
-        if entry.loops:
+        if entry.hot_loops:
+            return self._serve_clean(entry)
+        if entry.loops and not entry.clean:
             # Explicit demand: the worker resolves hot-ness per loop
-            # against the fresh profile, no discovery barrier needed.
-            return entry.loops, dict(entry.hot_fractions)
+            # against the fresh profile, no lead needed.
+            return entry.loops
         return None
 
     def _loop_ticket(self, batch: _QueueBatch, key: str,
-                     loop: Optional[str], fraction: float) -> Ticket:
-        """One queued task: discovery tasks (``loop is None``) carry
-        weight 0 and sort first by kind anyway; loop tasks are
-        LPT-ordered by instruction-weighted profiled time fraction."""
+                     loop: Optional[str]) -> Ticket:
+        """One queued task.  A lead (``loop is None``) carries weight 0
+        and sorts first by kind anyway; it skips the loops whose
+        revalidated answers the key holds.  Loop tasks are LPT-ordered
+        by instruction-weighted profiled time fraction."""
         entry = batch.work[key]
+        fraction = entry.hot_fractions.get(loop, 0.0)
         weight = (0.0 if loop is None
                   else lpt_weight(fraction, entry.total_instructions))
 
         def deliver(ticket, outcome, result, error):
             self._queue_deliver(batch, ticket, outcome, result, error)
 
-        task = LoopTask(entry.request, loop, self.loop_timeout_s, fraction,
+        task = LoopTask(entry.request, loop, time_fraction=fraction,
                         trace=batch.trace,
-                        prepared_cache_size=self.prepared_cache_size)
+                        prepared_cache_size=self.prepared_cache_size,
+                        skip=tuple(entry.clean))
         return Ticket(task, key=key, weight=weight, deliver=deliver,
                       client=batch.client, trace_parent=batch.trace_parent)
 
@@ -465,20 +457,17 @@ class BatchScheduler:
             tickets: List[Ticket] = []
             for key in keys:
                 entry = work[key]
-                known = self._known_roster(key, entry)
-                if known is None:
+                loops = self._known_loops(key, entry)
+                if loops is None:
                     entry.outstanding = 1
-                    tickets.append(self._loop_ticket(batch, key, None, 0.0))
+                    tickets.append(self._loop_ticket(batch, key, None))
                     continue
-                roster, fractions = known
-                wanted = tuple(entry.loops or roster)
-                entry.outstanding = len(wanted)
-                if not wanted:
+                entry.outstanding = len(loops)
+                if not loops:
                     immediate.append(entry)
                     continue
-                for name in wanted:
-                    tickets.append(self._loop_ticket(
-                        batch, key, name, fractions.get(name, 0.0)))
+                tickets.extend(self._loop_ticket(batch, key, name)
+                               for name in loops)
 
             for entry in immediate:
                 self._finish_key(entry, 0.0)
@@ -503,17 +492,16 @@ class BatchScheduler:
         task = ticket.task
         if outcome == "ok":
             self._absorb_task(entry, result)
-            if task.loop is None:
-                more = self._enqueue_discovered(batch, ticket.key, result)
-                entry.outstanding += more
-                batch.remaining += more
-                batch.submitted += more
-            elif (batch.on_answer is not None
-                    and result.answer is not None):
+            if batch.on_answer is not None and result.answer is not None:
                 try:
                     batch.on_answer(entry.request, result.answer)
                 except Exception:
                     pass  # a broken stream must not sink the batch
+            if task.loop is None:
+                more = self._enqueue_followers(batch, ticket.key)
+                entry.outstanding += more
+                batch.remaining += more
+                batch.submitted += more
         elif outcome == "timeout":
             self._degrade_task(entry, task, "timeout")
         elif outcome == "cancelled":
@@ -527,14 +515,11 @@ class BatchScheduler:
         if batch.remaining <= 0:
             batch.event.set()
 
-    def _enqueue_discovered(self, batch: _QueueBatch, key: str,
-                            result: LoopTaskResult) -> int:
-        """A discovery task reported the roster: enqueue its loops."""
-        wanted = batch.work[key].loops or result.hot_loops
-        fractions = result.hot_fractions
-        tickets = [self._loop_ticket(batch, key, name,
-                                     fractions.get(name, 0.0))
-                   for name in wanted]
+    def _enqueue_followers(self, batch: _QueueBatch, key: str) -> int:
+        """A lead reported the roster: serve the held answers, then
+        enqueue the wanted hot loops still unanswered."""
+        tickets = [self._loop_ticket(batch, key, name)
+                   for name in self._serve_clean(batch.work[key])]
         if tickets:
             self.engine.submit(tickets)
         return len(tickets)
@@ -579,8 +564,9 @@ class BatchScheduler:
 
     def _degrade_task(self, entry: _KeyWork, task: LoopTask,
                       reason: str) -> None:
-        """Conservative fallback for one loop task (or an unknown
-        roster, when a discovery task died)."""
+        """Conservative fallback for one loop task, or for the key's
+        whole unknown demand (held answers included) when its lead
+        died."""
         tel = self.telemetry
         if reason == "timeout":
             tel.count("tasks_timed_out")
@@ -589,7 +575,7 @@ class BatchScheduler:
         if task.loop is not None:
             loops: Tuple[str, ...] = (task.loop,)
         else:
-            loops = entry.loops or entry.hot_loops or (UNKNOWN_LOOPS,)
+            loops = entry.loops or (UNKNOWN_LOOPS,)
         for name in loops:
             if name not in entry.answers:
                 entry.answers[name] = fallback_answer(

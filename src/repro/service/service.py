@@ -58,16 +58,10 @@ class ServiceConfig:
     #: Seconds the tier stays demoted to L1-only after an L2 failure
     #: before the next touch retries the remote.
     l2_reconnect_s: float = 5.0
-    #: Bound on the write-behind queue; overflow sheds the oldest
-    #: pending publication (counted, never blocking).
-    l2_write_queue: int = 64
     #: Wall-clock deadline for one loop task; an overdue task degrades
     #: to a conservative answer and its worker lane is rebuilt.
     #: ``None`` waits indefinitely.
     task_timeout_s: Optional[float] = None
-    #: Budget for one loop's analysis inside a worker; an overdue loop
-    #: degrades to a conservative answer while its worker survives.
-    loop_timeout_s: Optional[float] = None
     #: Capacity of each worker's resident prepared-module LRU (parsed
     #: module + context + profiles + built system per version key);
     #: ``None`` uses the worker default.
@@ -76,9 +70,6 @@ class ServiceConfig:
     #: lazily respawn on the next task (the daemon's scale-down);
     #: ``None`` keeps workers resident forever.
     idle_ttl_s: Optional[float] = None
-    #: Default orchestrator config stamped onto requests that carry
-    #: none (lets callers pick join/bailout policies service-wide).
-    orchestrator: Optional[OrchestratorConfig] = None
 
 
 @dataclass
@@ -109,7 +100,6 @@ class DependenceService:
             cache=self.cache,
             telemetry=self.telemetry,
             task_timeout_s=self.config.task_timeout_s,
-            loop_timeout_s=self.config.loop_timeout_s,
             prepared_cache_size=self.config.prepared_cache_size,
             idle_ttl_s=self.config.idle_ttl_s,
         )
@@ -117,7 +107,6 @@ class DependenceService:
     # -- serving -------------------------------------------------------------
 
     def run_batch(self, requests: Sequence[AnalysisRequest]) -> BatchResult:
-        requests = [self._with_default_config(r) for r in requests]
         answers = self.scheduler.run_batch(requests)
         return BatchResult(answers, self.telemetry.snapshot())
 
@@ -159,17 +148,7 @@ class DependenceService:
                                    timeout_s=self.config.l2_timeout_s)
         return TieredCache(l1, backend,
                            registry=self.telemetry.registry,
-                           reconnect_s=self.config.l2_reconnect_s,
-                           max_queue=self.config.l2_write_queue)
-
-    def _with_default_config(self, request: AnalysisRequest
-                             ) -> AnalysisRequest:
-        if request.config is not None or self.config.orchestrator is None:
-            return request
-        return AnalysisRequest(
-            name=request.name, source=request.source, entry=request.entry,
-            system=request.system, loops=request.loops,
-            config=self.config.orchestrator)
+                           reconnect_s=self.config.l2_reconnect_s)
 
 
 def request_for_workload(name: str, system: str = "scaf",

@@ -53,6 +53,8 @@ class TelemetrySnapshot:
     #: Loop tasks that overran ``task_timeout_s``.
     tasks_timed_out: int = 0
     loop_tasks_dispatched: int = 0
+    #: Lead tasks: sent when a key's hot-loop roster is unknown, each
+    #: profiles the module, analyzes a loop and reports the roster.
     discovery_tasks: int = 0
     loops_computed: int = 0
     loops_from_cache: int = 0

@@ -1,24 +1,20 @@
 """Worker-side evaluation of loop tasks.
 
 A *loop task* (:func:`run_loop_task`) is the scheduler's unit: one
-module and **one** hot loop (or a roster-discovery task when the
-hot-loop set is unknown).  Loop granularity only pays off because of
-the **worker-resident prepared-module cache**: an LRU keyed by
-version key holding the parsed module, analysis context, profiles,
-and the built analysis system, so K loop tasks of the same module pay
+module and **one** hot loop.  When the scheduler does not know a
+module's hot-loop roster it sends a *lead* task instead, which
+profiles the module, analyzes its hottest wanted loop, and reports
+the roster with that answer.  The worker is the only place a module
+is profiled.  Loop granularity only pays off because of the
+**worker-resident prepared-module cache**: an LRU keyed by version
+key holding the parsed module, analysis context, profiles, and the
+built analysis system, so K loop tasks of the same module pay
 parse/verify/profile/build once per worker process instead of once
 per task.  Cache hits report ``setup_s = 0`` — setup cost is billed
 to the task that populated the entry, never re-billed.
 
 Everything here must stay picklable and importable at module level
 (``run_loop_task`` crosses the ``ProcessPoolExecutor`` boundary).
-
-Per-loop timeouts run the analysis on a helper thread and abandon it
-on expiry, returning the conservative fallback for that loop; the
-task (and the batch) survives.  A timed-out loop also evicts its
-prepared entry, so the next task of that module rebuilds a fresh
-analysis system instead of sharing one an abandoned thread may still
-be mutating.
 """
 
 from __future__ import annotations
@@ -53,7 +49,7 @@ from ..ir import (
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceSpec, current_tracer, set_tracer
 from ..profiling import run_profilers
-from .answers import LoopAnswer, fallback_answer, summarize_pdg
+from .answers import LoopAnswer, summarize_pdg
 from .requests import AnalysisRequest, profile_digest
 
 #: Default capacity of the worker-resident prepared-module LRU.
@@ -64,14 +60,14 @@ DEFAULT_PREPARED_CACHE_SIZE = 4
 class LoopTask:
     """The queue scheduler's unit: one module, one hot loop.
 
-    ``loop is None`` makes this a *discovery* task: profile the module,
-    report the hot-loop roster and time fractions (and warm the
-    prepared-module cache), but analyze nothing.
+    ``loop is None`` makes this a *lead* task: profile the module,
+    analyze the first loop of ``request.loops`` or the roster (hottest
+    first) that the profile selects and ``skip`` does not name, and
+    report the hot-loop roster and time fractions with that answer.
     """
 
     request: AnalysisRequest
     loop: Optional[str] = None
-    loop_timeout_s: Optional[float] = None
     #: The scheduler's LPT estimate (profiled time fraction); carried
     #: for observability only.
     time_fraction: float = 0.0
@@ -79,6 +75,9 @@ class LoopTask:
     #: serialized back in :attr:`LoopTaskResult.spans`).
     trace: Optional[TraceSpec] = None
     prepared_cache_size: int = DEFAULT_PREPARED_CACHE_SIZE
+    #: Loops a lead must not pick: the scheduler already holds their
+    #: revalidated cache rows.
+    skip: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -89,7 +88,7 @@ class LoopTaskResult:
     workload: str
     system: str
     entry: str
-    loop: Optional[str]                 # None for discovery tasks
+    loop: Optional[str]                 # None: a lead analyzed nothing
     answer: Optional[LoopAnswer] = None
     hot_loops: Tuple[str, ...] = ()
     hot_fractions: Dict[str, float] = field(default_factory=dict)
@@ -135,13 +134,9 @@ class LoopTaskResult:
 
 
 def prepare_request(request: AnalysisRequest):
-    """Parse, verify, and profile a request's module.
-
-    Shared by the prepared-module cache and the scheduler's
-    incremental cache probe — the probe needs the real hot-loop
-    roster and fingerprints of an *edited* module before deciding
-    what still has to run.  Returns ``(module, context, profiles)``.
-    """
+    """Parse, verify, and profile a request's module: the setup half
+    of a :class:`PreparedModule`.  Returns ``(module, context,
+    profiles)``."""
     tracer = current_tracer()
     with tracer.span("prepare", cat="prepare", workload=request.name,
                      entry=request.entry):
@@ -352,11 +347,6 @@ def prepared_cache_keys() -> List[str]:
         return list(_PREPARED)
 
 
-def _evict_prepared(version_key: str) -> None:
-    with _PREPARED_LOCK:
-        _PREPARED.pop(version_key, None)
-
-
 def _prepared_module(request: AnalysisRequest, capacity: int
                      ) -> Tuple[PreparedModule, bool, int]:
     """Get-or-build the prepared entry; returns (entry, hit,
@@ -382,32 +372,6 @@ def _prepared_module(request: AnalysisRequest, capacity: int
             _PREPARED.popitem(last=False)
             evictions += 1
     return entry, False, evictions
-
-
-# -- per-loop analysis helpers ------------------------------------------------
-
-def _analyze_with_timeout(client: PDGClient, loop,
-                          timeout_s: Optional[float]):
-    """Run one loop analysis, abandoning it past ``timeout_s``.
-
-    Returns the LoopPDG or ``None`` on timeout.  The abandoned thread
-    is a daemon and dies with the worker process; its partial work is
-    discarded.
-    """
-    if timeout_s is None:
-        return client.analyze_loop(loop)
-    box: list = []
-
-    def _run():
-        try:
-            box.append(client.analyze_loop(loop))
-        except Exception:
-            pass  # surfaces as a timeout/fallback below
-
-    thread = threading.Thread(target=_run, daemon=True)
-    thread.start()
-    thread.join(timeout_s)
-    return box[0] if box else None
 
 
 # -- loop-task evaluation ----------------------------------------------------
@@ -463,22 +427,26 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
     )
     if not hit or task.loop is None:
         # Fingerprints/scope travel once per populated entry (and on
-        # every discovery task, which feeds the scheduler's store
-        # path); plain-loop hits skip them to keep pickling light.
+        # every lead, which feeds the scheduler's store path);
+        # plain-loop hits skip them to keep pickling light.
         result.fingerprints = entry.fingerprints
         result.header_fingerprint = entry.header_fingerprint
         result.executed_functions = entry.executed_functions
 
-    if task.loop is None:                     # discovery: roster only
-        result.busy_s = time.perf_counter() - started
-        result.metrics = registry.snapshot()
-        return result
-
-    h = entry.hot_by_name.get(task.loop)
+    loop = task.loop
+    if loop is None:
+        # A lead analyzes the hottest wanted loop the scheduler does
+        # not already hold.
+        loop = result.loop = next(
+            (name for name in request.loops or result.hot_loops
+             if name in entry.hot_by_name and name not in task.skip),
+            None)
+    h = entry.hot_by_name.get(loop)
     if h is None:
-        # Requested loop is not in the profile's hot roster (explicit
-        # loop subsets may name cold loops): answer=None leaves it out
-        # of the request's answers.
+        # Nothing to analyze: the requested loop is not in the
+        # profile's hot roster (explicit loop subsets may name cold
+        # loops), or a lead found no wanted loop left.  answer=None
+        # reports the roster alone.
         result.busy_s = time.perf_counter() - started
         result.metrics = registry.snapshot()
         return result
@@ -494,12 +462,9 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
         queries_before = system.stats.queries
         loop_started = time.perf_counter()
         with tracer.span("loop", cat="loop", loop=h.name,
-                         workload=request.name,
-                         system=request.system) as loop_span:
-            pdg = _analyze_with_timeout(entry.client, h.loop,
-                                        task.loop_timeout_s)
+                         workload=request.name, system=request.system):
+            pdg = entry.client.analyze_loop(h.loop)
             latency = time.perf_counter() - loop_started
-            loop_span.set(timed_out=pdg is None)
         for module_name, evals in sorted(
                 system.stats.module_evals.items()):
             delta = evals - evals_before.get(module_name, 0)
@@ -510,16 +475,9 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
         result.orchestrator_queries = system.stats.queries - queries_before
     registry.histogram("loop_latency_s", workload=request.name,
                        system=request.system).record(latency)
-    if pdg is None:
-        result.answer = fallback_answer(request.name, request.system,
-                                        h.name, h.time_fraction)
-        # An abandoned analysis thread may still be mutating this
-        # system; drop the entry so the next task rebuilds cleanly.
-        _evict_prepared(entry.version_key)
-    else:
-        result.answer = summarize_pdg(request.name, request.system, pdg,
-                                      h.time_fraction, latency)
-        result.footprint = loop_footprint(system, h.loop)
+    result.answer = summarize_pdg(request.name, request.system, pdg,
+                                  h.time_fraction, latency)
+    result.footprint = loop_footprint(system, h.loop)
     result.busy_s = time.perf_counter() - started
     result.analysis_wall_s = max(0.0, result.busy_s - result.setup_s)
     result.metrics = registry.snapshot()

@@ -109,16 +109,17 @@ def start_daemon(tmp_path, service_config=None, service=None, **kwargs):
 def gated_service(telemetry_workers: int, gate: threading.Event,
                   crash_on=None, crashed=None):
     """A service whose (thread-pool) workers wait on ``gate`` before
-    running each task — and optionally crash once on a named request
-    (keyed by request name so the injection is deterministic even
-    when several clients race identical loop names)."""
+    running each task — and optionally crash once on any task of a
+    named request (keyed by request name so the injection is
+    deterministic even when several clients race identical loop
+    names)."""
     svc = DependenceService(ServiceConfig(workers=telemetry_workers,
                                           executor="thread"))
     lock = threading.Lock()
 
     def runner(task):
         assert gate.wait(timeout=60), "test gate never opened"
-        if crash_on and task.loop and task.request.name == crash_on:
+        if crash_on and task.request.name == crash_on:
             with lock:
                 first = not crashed
                 crashed.append(task.loop)

@@ -14,7 +14,11 @@ path on generated programs.  This file pins:
 - prepared-cache hits are not re-billed setup time, and the
   busy/setup split reconciles;
 - a provably-execution-preserving edit reuses the prior hot-loop
-  roster with zero interpretation;
+  roster with zero interpretation, read from the edited workload's
+  own profile;
+- a lead task profiles its module, analyzes the hottest loop not
+  already held and streams that answer, so a module with one hot
+  loop costs one task;
 - the traced queue timeline nests loop tasks under dispatch spans
   with queue-wait and prepared-cache attributes;
 - LPT order across modules, with a deterministic ``(module, loop)``
@@ -26,7 +30,6 @@ from types import SimpleNamespace
 
 import pytest
 
-import repro.service.scheduler as scheduler_mod
 import repro.service.worker as worker_mod
 from repro.obs.stats import trace_document
 from repro.obs.trace import NOOP, TraceContext, set_tracer, validate_spans
@@ -43,6 +46,7 @@ from repro.service import (
 )
 from repro.service.engine import Ticket, WorkEngine, lpt_weight
 from repro.service.telemetry import ServiceTelemetry
+from repro.service.worker import LoopTask
 
 
 @pytest.fixture(autouse=True)
@@ -51,6 +55,39 @@ def _fresh_prepared_cache():
     yield
     reset_prepared_cache()
     set_tracer(NOOP)
+
+
+@pytest.fixture
+def profiler_calls(monkeypatch):
+    """Records every ``run_profilers`` call: workers are the only
+    place a module is interpreted."""
+    calls = []
+    real = worker_mod.run_profilers
+    monkeypatch.setattr(
+        worker_mod, "run_profilers",
+        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+ONE_LOOP_SOURCE = """
+global @acc : i32 = 0
+
+func @main() -> i32 {
+entry:
+  br %loop
+loop:
+  %i = phi i32 [0, %entry], [%i2, %loop]
+  %a = load i32* @acc
+  %a2 = add i32 %a, 1
+  store i32 %a2, i32* @acc
+  %i2 = add i32 %i, 1
+  %c = icmp slt i32 %i2, 60
+  condbr i1 %c, %loop, %exit
+exit:
+  %r = load i32* @acc
+  ret i32 %r
+}
+"""
 
 
 def two_loop_source(step1: int = 1, step2: int = 1,
@@ -120,12 +157,14 @@ class TestCrashAndRebuild:
     def test_worker_death_mid_queue_degrades_one_loop(self):
         """Kill the worker on one specific loop task: that loop falls
         back conservatively, its lane is rebuilt, and every other task
-        in the queue still completes with real answers."""
+        in the queue still completes with real answers.  The crash
+        hits the follower ``@work1``; the lead analyzed the hotter
+        ``@work2``."""
         crashed = []
         lock = threading.Lock()
 
         def flaky_runner(task):
-            if task.loop is not None and task.loop.startswith("@work2"):
+            if task.loop is not None and task.loop.startswith("@work1"):
                 with lock:
                     first = not crashed
                     crashed.append((task.request.name, task.loop))
@@ -145,13 +184,13 @@ class TestCrashAndRebuild:
 
         assert crashed, "the injected crash never fired"
         # The deterministic (key, loop) tie-break decides which
-        # request's @work2 dispatches first — whichever it was, only
+        # request's @work1 dispatches first — whichever it was, only
         # that one loop degrades.
         hit = 0 if crashed[0][0] == "victim" else 1
         by_loop = {a.loop: a for a in results[hit]}
-        assert by_loop["@work2:%loop"].status == STATUS_FALLBACK
-        assert by_loop["@work2:%loop"].no_dep_percent == 0.0
-        assert by_loop["@work1:%loop"].status == STATUS_COMPUTED
+        assert by_loop["@work1:%loop"].status == STATUS_FALLBACK
+        assert by_loop["@work1:%loop"].no_dep_percent == 0.0
+        assert by_loop["@work2:%loop"].status == STATUS_COMPUTED
         # The other request rode the same global queue and was
         # untouched by the crash.
         assert all(a.status == STATUS_COMPUTED for a in results[1 - hit])
@@ -183,8 +222,8 @@ class TestPreparedModuleCache:
     def test_module_setup_paid_once_for_all_loop_tasks(self, monkeypatch):
         """The acceptance criterion: a module split across K loop
         tasks on one worker is parsed / verified / profiled exactly
-        once — the discovery task populates the prepared cache and
-        every loop task hits it."""
+        once — the lead populates the prepared cache and every
+        follower hits it."""
         profiled = []
         real_profilers = worker_mod.run_profilers
         monkeypatch.setattr(
@@ -201,10 +240,10 @@ class TestPreparedModuleCache:
             f"module setup ran {len(profiled)} times for "
             f"{len(answers)} loop tasks; expected exactly once")
         snap = scheduler.telemetry.snapshot()
-        # Discovery misses, then one hit per loop task.
+        # The lead misses, then one hit per follower.
         assert snap.prepared_misses == 1
-        assert snap.prepared_hits == len(answers)
-        assert snap.prepared_hit_rate == pytest.approx(2 / 3)
+        assert snap.prepared_hits == len(answers) - 1
+        assert snap.prepared_hit_rate == pytest.approx(1 / 2)
         assert prepared_cache_keys(), "prepared module should be resident"
 
     def test_lru_evicts_beyond_capacity(self):
@@ -264,19 +303,20 @@ class TestSetupAttribution:
 # -- zero-interpretation roster reuse ----------------------------------------
 
 class TestRosterReuse:
-    def _run(self, source, cache, monkeypatch=None, forbid_interp=False):
+    def _run(self, source, cache, monkeypatch=None, forbid_interp=False,
+             name="reuse", loops=()):
         scheduler = BatchScheduler(workers=0, executor="inline",
                                    cache=cache)
         if forbid_interp:
             def _boom(*a, **k):
                 raise AssertionError(
-                    "prepare_request ran: the probe interpreted the "
-                    "module instead of reusing the prior roster")
-            monkeypatch.setattr(scheduler_mod, "prepare_request", _boom)
+                    "run_profilers ran: the module was interpreted "
+                    "instead of reusing the prior roster")
             monkeypatch.setattr(worker_mod, "run_profilers", _boom)
         try:
             return (scheduler.run_batch(
-                [AnalysisRequest("reuse", source, system="scaf")]),
+                [AnalysisRequest(name, source, system="scaf",
+                                 loops=loops)]),
                 scheduler.telemetry.snapshot())
         finally:
             if forbid_interp:
@@ -285,10 +325,10 @@ class TestRosterReuse:
     def test_edit_outside_executed_scope_reuses_roster(
             self, tmp_path, monkeypatch):
         """Editing a never-executed function reuses the prior run's
-        hot-loop roster and fractions with ZERO interpretation: both
-        the scheduler-side profiler (``prepare_request``) and the
-        worker-side one (``run_profilers``) are replaced with bombs
-        for the warm run, which must still serve every loop."""
+        hot-loop roster and fractions with ZERO interpretation: the
+        profiler (``run_profilers``, which only workers call) is
+        replaced with a bomb for the warm run, which must still serve
+        every loop."""
         cache = ResultCache(str(tmp_path / "cache.sqlite"))
         cold, cold_snap = self._run(two_loop_source(dead_step=1), cache)
         assert all(a.status == STATUS_COMPUTED
@@ -307,18 +347,103 @@ class TestRosterReuse:
         assert snap.loop_tasks_dispatched == 0
         assert identities(warm) == cold_ids
 
-    def test_edit_inside_executed_scope_reprofiles(self, tmp_path):
-        """Touching an executed function breaks the proof: the probe
-        must fall back to re-profiling (and recompute the dirty loop)."""
+    @pytest.mark.parametrize("loops", [
+        (), ("@work1:%loop", "@work2:%loop")], ids=["all", "explicit"])
+    def test_edit_inside_executed_scope_reprofiles(self, tmp_path, loops,
+                                                   profiler_calls):
+        """Touching an executed function breaks the proof: the module
+        is profiled again, once, by the lead that recomputes the dirty
+        loop, while the clean loop is served from the cache."""
         cache = ResultCache(str(tmp_path / "cache.sqlite"))
-        self._run(two_loop_source(step2=1), cache)
+        self._run(two_loop_source(step2=1), cache, loops=loops)
         reset_prepared_cache()
-        warm, snap = self._run(two_loop_source(step2=3), cache)
+        profiler_calls.clear()
+        warm, snap = self._run(two_loop_source(step2=3), cache,
+                               loops=loops)
         assert snap.profile_reuses == 0
         assert snap.incremental_probes == 1
+        assert len(profiler_calls) == 1
         statuses = {a.loop: a.status for answers in warm for a in answers}
         assert statuses["@work1:%loop"] == STATUS_CACHED
         assert statuses["@work2:%loop"] == STATUS_COMPUTED
+
+    def test_reuse_reads_the_workloads_own_profile(self, tmp_path,
+                                                   profiler_calls):
+        """The lineage key ignores the workload name, so a different
+        module B stored after A is the lineage's newest profile.
+        Editing A outside its executed scope must still reuse A's own
+        profile, with no interpretation."""
+        cache = ResultCache(str(tmp_path / "cache.sqlite"))
+        cold, _ = self._run(two_loop_source(dead_step=1), cache, name="a")
+        self._run(two_loop_source(step1=5, step2=5), cache, name="b")
+        reset_prepared_cache()
+        profiler_calls.clear()
+        warm, snap = self._run(two_loop_source(dead_step=7), cache,
+                               name="a")
+        assert snap.profile_reuses == 1
+        assert profiler_calls == []
+        assert snap.loop_tasks_dispatched == 0
+        assert identities(warm) == identities(cold)
+
+    def test_lead_death_degrades_held_answers_too(self, tmp_path):
+        """Without a proven roster the revalidated answers wait for the
+        lead; a lead that dies degrades the key's whole unknown
+        demand, those held answers included."""
+        cache = ResultCache(str(tmp_path / "cache.sqlite"))
+        self._run(two_loop_source(step2=1), cache)
+        reset_prepared_cache()
+
+        def lead_dies(task):
+            if task.loop is None:
+                raise RuntimeError("simulated worker death")
+            return run_loop_task(task)
+
+        scheduler = BatchScheduler(workers=0, executor="inline",
+                                   cache=cache, loop_runner=lead_dies)
+        [answers] = scheduler.run_batch(
+            [AnalysisRequest("reuse", two_loop_source(step2=3),
+                             system="scaf")])
+        assert [(a.loop, a.status) for a in answers] \
+            == [("*", STATUS_FALLBACK)]
+        snap = scheduler.telemetry.snapshot()
+        assert snap.tasks_failed == 1
+        assert snap.loops_incremental == 0
+
+
+# -- the lead task -----------------------------------------------------------
+
+class TestLeadTask:
+    def test_one_hot_loop_costs_one_task(self, profiler_calls):
+        """A module with one hot loop is profiled and analyzed by its
+        lead alone, and the lead's answer streams to ``on_answer``."""
+        streamed = []
+        scheduler = BatchScheduler(workers=0, executor="inline")
+        [answers] = scheduler.run_batch(
+            [AnalysisRequest("one", ONE_LOOP_SOURCE, system="scaf")],
+            on_answer=lambda request, answer: streamed.append(
+                (request.name, answer.loop)))
+        assert [a.status for a in answers] == [STATUS_COMPUTED]
+        snap = scheduler.telemetry.snapshot()
+        assert snap.loop_tasks_dispatched == 1
+        assert snap.discovery_tasks == 1
+        assert len(profiler_calls) == 1
+        assert streamed == [("one", answers[0].loop)]
+
+    def test_lead_analyzes_hottest_loop_not_skipped(self):
+        """A lead picks the hottest hot loop its ``skip`` does not
+        name, and with nothing left it reports the roster alone."""
+        request = AnalysisRequest("lead", two_loop_source(), system="scaf")
+        roster = ("@work2:%loop", "@work1:%loop")   # 80 vs 60 iterations
+        first = run_loop_task(LoopTask(request))
+        assert first.hot_loops == roster
+        assert first.loop == roster[0]
+        assert first.answer.loop == roster[0]
+        assert first.footprint
+        second = run_loop_task(LoopTask(request, skip=roster[:1]))
+        assert second.loop == second.answer.loop == roster[1]
+        bare = run_loop_task(LoopTask(request, skip=roster))
+        assert bare.loop is None and bare.answer is None
+        assert bare.hot_loops == roster
 
 
 # -- traced queue timeline ---------------------------------------------------
