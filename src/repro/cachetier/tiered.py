@@ -221,13 +221,14 @@ class TieredCache:
         self._pull_lineage(lineage_key)
         return self.l1.lookup_profile(lineage_key, workload)
 
-    def lookup_footprints(self, lineage_key: str, loops: Sequence[str],
+    def lookup_footprints(self, lineage_key: str, workload: str,
+                          loops: Sequence[str],
                           fingerprints: Mapping[str, str],
                           header_fingerprint: str
                           ) -> Dict[str, FootprintHit]:
         self._pull_lineage(lineage_key)
-        return self.l1.lookup_footprints(lineage_key, loops, fingerprints,
-                                         header_fingerprint)
+        return self.l1.lookup_footprints(lineage_key, workload, loops,
+                                         fingerprints, header_fingerprint)
 
     # -- mutation ------------------------------------------------------------
 

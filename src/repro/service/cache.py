@@ -336,29 +336,36 @@ class ResultCache:
             (lineage_key,)).fetchone())
         return row is not None
 
-    def lookup_footprints(self, lineage_key: str, loops: Sequence[str],
+    def lookup_footprints(self, lineage_key: str, workload: str,
+                          loops: Sequence[str],
                           fingerprints: Mapping[str, str],
                           header_fingerprint: str
                           ) -> Dict[str, FootprintHit]:
-        """Loop answers from this lineage that survive an edit.
+        """Loop answers of ``workload`` from this lineage that survive
+        an edit.
 
         For each requested loop, scans the rows stored under
-        ``lineage_key`` (any module version) and re-derives their
-        footprint digests from the *current* module's ``fingerprints``.
-        A row whose recomputed digest equals its stored digest was
-        produced from byte-identical consulted code — the answer is
-        returned (freshest row wins).  Loops with no surviving row are
-        simply absent from the result: they must be recomputed.
+        ``lineage_key`` (any module version) by the same workload and
+        re-derives their footprint digests from the *current* module's
+        ``fingerprints``.  A row whose recomputed digest equals its
+        stored digest was produced from byte-identical consulted code —
+        the answer is returned (freshest row wins).  Loops with no
+        surviving row are simply absent from the result: they must be
+        recomputed.  As in :meth:`lookup_profile`, a lineage is one
+        program's edit history: another program's row is never reused,
+        since it would be served under that program's name.
         """
         wanted = tuple(loops)
         if not wanted or not lineage_key:
             return {}
         placeholders = ",".join("?" * len(wanted))
         rows = self._with_retry(lambda: self._conn.execute(
-            "SELECT loop_name, footprint, footprint_digest, payload,"
-            f" stored_at FROM answers WHERE lineage_key = ?"
-            f" AND loop_name IN ({placeholders})",
-            (lineage_key, *wanted)).fetchall())
+            "SELECT a.loop_name, a.footprint, a.footprint_digest,"
+            " a.payload, a.stored_at FROM answers AS a"
+            " JOIN meta AS m ON m.version_key = a.version_key"
+            " WHERE a.lineage_key = ? AND m.workload = ?"
+            f" AND a.loop_name IN ({placeholders})",
+            (lineage_key, workload, *wanted)).fetchall())
         best: Dict[str, Tuple[float, FootprintHit]] = {}
         for loop_name, footprint_json, stored_digest, payload, stored_at \
                 in rows:

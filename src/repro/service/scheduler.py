@@ -346,7 +346,8 @@ class BatchScheduler:
         if prior is not None:
             self._reuse_roster(entry, prior)
         entry.clean = self.cache.lookup_footprints(
-            lineage, wanted, entry.fingerprints, entry.header_fingerprint)
+            lineage, request.name, wanted, entry.fingerprints,
+            entry.header_fingerprint)
         return bool(entry.hot_loops) and not self._serve_clean(entry)
 
     def _serve_clean(self, entry: _KeyWork) -> Tuple[str, ...]:

@@ -465,6 +465,9 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
                          workload=request.name, system=request.system):
             pdg = entry.client.analyze_loop(h.loop)
             latency = time.perf_counter() - loop_started
+        # Read inside the lock: the next task on this entry resets the
+        # consulted and scan traces the footprint is made of.
+        result.footprint = loop_footprint(system, h.loop)
         for module_name, evals in sorted(
                 system.stats.module_evals.items()):
             delta = evals - evals_before.get(module_name, 0)
@@ -477,7 +480,6 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
                        system=request.system).record(latency)
     result.answer = summarize_pdg(request.name, request.system, pdg,
                                   h.time_fraction, latency)
-    result.footprint = loop_footprint(system, h.loop)
     result.busy_s = time.perf_counter() - started
     result.analysis_wall_s = max(0.0, result.busy_s - result.setup_s)
     result.metrics = registry.snapshot()

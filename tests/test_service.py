@@ -347,7 +347,7 @@ class TestResultCache:
             assert cache.meta(key).lineage_key == ""
             assert not cache.has_lineage("")
             assert cache.lookup_footprints(
-                request.lineage_key(), [answer.loop], {}, "") == {}
+                request.lineage_key(), "t", [answer.loop], {}, "") == {}
             # v2 writes work against the migrated tables.
             cache.store("k2", workload="t", system="caf", entry="main",
                         modules=(), profile_digest="d",
@@ -372,7 +372,7 @@ class TestResultCache:
         lineage = request.lineage_key()
 
         hits = cache.lookup_footprints(
-            lineage, [answer.loop],
+            lineage, "t", [answer.loop],
             {"main": "m-hash", "helper": "edited"}, "hdr")
         assert set(hits) == {answer.loop}
         assert hits[answer.loop].answer.status == STATUS_CACHED
@@ -381,11 +381,11 @@ class TestResultCache:
         # Edits inside the footprint, a changed header, or a deleted
         # footprint function all invalidate.
         assert cache.lookup_footprints(
-            lineage, [answer.loop], {"main": "edited"}, "hdr") == {}
+            lineage, "t", [answer.loop], {"main": "edited"}, "hdr") == {}
         assert cache.lookup_footprints(
-            lineage, [answer.loop], {"main": "m-hash"}, "hdr2") == {}
+            lineage, "t", [answer.loop], {"main": "m-hash"}, "hdr2") == {}
         assert cache.lookup_footprints(
-            lineage, [answer.loop], {"helper": "h-hash"}, "hdr") == {}
+            lineage, "t", [answer.loop], {"helper": "h-hash"}, "hdr") == {}
         cache.close()
 
     def test_survives_reopen(self, tmp_path):

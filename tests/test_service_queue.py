@@ -19,6 +19,10 @@ path on generated programs.  This file pins:
 - a lead task profiles its module, analyzes the hottest loop not
   already held and streams that answer, so a module with one hot
   loop costs one task;
+- a task reads its loop's footprint before another task of the same
+  prepared module can reset the traces it is made of;
+- revalidated footprints are reused only within one workload, never
+  from another program that shares the lineage;
 - the traced queue timeline nests loop tasks under dispatch spans
   with queue-wait and prepared-cache attributes;
 - LPT order across modules, with a deterministic ``(module, loop)``
@@ -265,6 +269,50 @@ class TestPreparedModuleCache:
                            prepared_cache_size=0)
 
 
+class _InterleavingLock:
+    """Stands in for a prepared entry's lock: the first time a task
+    leaves it, the real lock is released and ``interleave`` runs before
+    the task goes on, as another thread's task could."""
+
+    def __init__(self, real, interleave):
+        self.real = real
+        self.interleave = interleave
+
+    def __enter__(self):
+        self.real.acquire()
+
+    def __exit__(self, *exc):
+        self.real.release()
+        interleave, self.interleave = self.interleave, None
+        if interleave is not None:
+            interleave()
+        return False
+
+
+class TestFootprintUnderLock:
+    def test_another_task_between_analysis_and_footprint(self):
+        """A task of the same module that runs right after the lock is
+        released resets the consulted and scan traces; the finished
+        task's footprint must still be its loop's own."""
+        request = AnalysisRequest("fp", two_loop_source(), system="caf")
+        first, other = "@work1:%loop", "@work2:%loop"
+        solo = {}
+        for loop in (first, other):
+            reset_prepared_cache()
+            solo[loop] = run_loop_task(LoopTask(request, loop=loop)).footprint
+        assert solo[first] != solo[other], (
+            "the two loops need different footprints to show a mix-up")
+
+        reset_prepared_cache()
+        entry, _, _ = worker_mod._prepared_module(
+            request, worker_mod.DEFAULT_PREPARED_CACHE_SIZE)
+        entry.lock = _InterleavingLock(
+            entry.lock, lambda: run_loop_task(LoopTask(request, loop=other)))
+        result = run_loop_task(LoopTask(request, loop=first))
+        assert entry.lock.interleave is None, "the stand-in never ran"
+        assert result.footprint == solo[first]
+
+
 # -- utilization accounting --------------------------------------------------
 
 class TestSetupAttribution:
@@ -384,6 +432,25 @@ class TestRosterReuse:
         assert profiler_calls == []
         assert snap.loop_tasks_dispatched == 0
         assert identities(warm) == identities(cold)
+
+    def test_footprints_are_not_reused_across_workloads(self, tmp_path):
+        """A lineage is one program's edit history.  Two programs that
+        share an identical ``@work2`` share a lineage too, but B's
+        ``@work2`` answer must be B's own, never A's row served under
+        A's name."""
+        loops = ("@work2:%loop",)
+        cold_b, _ = self._run(two_loop_source(step1=5), None, name="B",
+                              loops=loops)
+        reset_prepared_cache()
+        cache = ResultCache(str(tmp_path / "cache.sqlite"))
+        self._run(two_loop_source(step1=1), cache, name="A")
+        reset_prepared_cache()
+        [[answer]], snap = self._run(two_loop_source(step1=5), cache,
+                                     name="B", loops=loops)
+        assert (answer.workload, answer.loop, answer.status) \
+            == ("B", "@work2:%loop", STATUS_COMPUTED)
+        assert snap.loops_incremental == 0
+        assert identities([[answer]]) == identities(cold_b)
 
     def test_lead_death_degrades_held_answers_too(self, tmp_path):
         """Without a proven roster the revalidated answers wait for the
