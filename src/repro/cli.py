@@ -293,9 +293,11 @@ def _cmd_analyze(args) -> int:
     if args.workers is not None or args.cache_dir:
         return _analyze_via_service(args)
 
+    from .service import system_profilers
     module = _load(args)
     context = AnalysisContext(module)
-    profiles = run_profilers(module, context, entry=args.entry)
+    profiles = run_profilers(module, context, entry=args.entry,
+                             profilers=system_profilers(args.system))
     system = SYSTEM_BUILDERS[args.system](module, context, profiles)
     client = PDGClient(system)
     from .obs import current_tracer

@@ -9,7 +9,7 @@ to other modules directly (§3.1).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import FrozenSet, Optional
 
 from ..analysis import AnalysisContext
 from ..ir import CallInst, Instruction, LoadInst, StoreInst
@@ -58,6 +58,13 @@ class AnalysisModule:
     name: str = "module"
     #: True for speculation modules (profile-driven answers).
     is_speculative: bool = False
+    #: The ``ProfileBundle`` fields this module reads (names from
+    #: ``repro.profiling.PROFILERS``).  A system's training run attaches
+    #: the union over its modules plus the edge profiler, so a field
+    #: read but not declared is ``None`` at run time.  ``loop_stats``,
+    #: ``total_instructions`` and ``exit_value`` come from the
+    #: interpreter and are always present.
+    profiles_read: FrozenSet[str] = frozenset()
     #: Average validation cost of this module's assertions; the
     #: Orchestrator queries cheap modules first (§3.3).
     average_assertion_cost: float = 0.0

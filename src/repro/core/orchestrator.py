@@ -20,9 +20,11 @@ from ..query import (
     JoinPolicy,
     MemoryLocation,
     ModRefQuery,
+    ModRefResult,
     Query,
     QueryResponse,
     join,
+    most_precise,
     precision,
 )
 from .module import AnalysisModule, Resolver
@@ -386,7 +388,6 @@ class Orchestrator:
         count for any sharpening (MustAlias and SubAlias answers are
         exactly what factored modules consume as premises).
         """
-        from ..query import ModRefResult
         if precision(after.result) <= precision(before.result):
             return False
         if isinstance(after.result, ModRefResult):
@@ -397,7 +398,6 @@ class Orchestrator:
         policy = self.config.bailout_policy
         if policy == BailoutPolicy.EXHAUSTIVE:
             return False
-        from ..query import most_precise
         definite = (precision(response.result)
                     == most_precise(type(response.result)))
         if not definite:

@@ -37,17 +37,21 @@ instead of the ephemeral session id.
 
 Protocol v3 removes ``max_cache_entries`` from a request's ``config``
 (the orchestrator no longer has a bounded memo).  A request whose
-config still carries it is answered with ``BAD_REQUEST``.
+config still carries it is answered with ``BAD_REQUEST``, as is any
+request whose fields have the wrong JSON type, whose ``system`` is
+not a known analysis system, or whose config names an undeclared
+policy (:func:`request_from_wire`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from ..core.orchestrator import OrchestratorConfig
-from ..service.requests import AnalysisRequest
+from ..core.orchestrator import BailoutPolicy, OrchestratorConfig
+from ..query import JoinPolicy
+from ..service.requests import SYSTEM_ROSTERS, AnalysisRequest
 
 PROTOCOL_VERSION = 3
 
@@ -124,16 +128,71 @@ def request_to_wire(request: AnalysisRequest) -> Dict:
     }
 
 
+def _declared(policy: type) -> frozenset:
+    """The values a policy class declares as upper-case attributes."""
+    return frozenset(value for key, value in vars(policy).items()
+                     if key.isupper())
+
+
+#: The JSON type of each ``OrchestratorConfig`` field: its default's.
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(OrchestratorConfig)}
+_CONFIG_CHOICES = {"join_policy": _declared(JoinPolicy),
+                   "bailout_policy": _declared(BailoutPolicy)}
+_MISSING = object()
+
+
+def _string(doc: Dict, key: str, default=_MISSING) -> str:
+    value = doc.get(key, default)
+    if value is _MISSING:
+        raise ValueError(f"{key}: missing")
+    if not isinstance(value, str):
+        raise ValueError(f"{key}: expected a string, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _config_from_wire(doc) -> OrchestratorConfig:
+    if not isinstance(doc, dict):
+        raise ValueError("config: expected an object")
+    for key, value in doc.items():
+        want = _CONFIG_TYPES.get(key)
+        if want is None:
+            raise ValueError(f"config.{key}: not an orchestrator field")
+        # ``type(...) is`` rather than isinstance: bool is an int.
+        if type(value) is not want:
+            raise ValueError(f"config.{key}: expected {want.__name__}, "
+                             f"not {type(value).__name__}")
+        choices = _CONFIG_CHOICES.get(key)
+        if choices is not None and value not in choices:
+            raise ValueError(f"config.{key}: {value!r} is not one of "
+                             f"{sorted(choices)}")
+    return OrchestratorConfig(**doc)
+
+
 def request_from_wire(doc: Dict) -> AnalysisRequest:
+    """Decode one wire request, checking every field's type.
+
+    Raises ``ValueError`` naming the first bad field; the daemon
+    answers it with ``BAD_REQUEST`` before any work is queued.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("request: expected an object")
+    system = _string(doc, "system", "scaf")
+    if system not in SYSTEM_ROSTERS:
+        raise ValueError(f"system: unknown analysis system {system!r}")
+    loops = doc.get("loops", [])
+    if not isinstance(loops, list) or \
+            not all(isinstance(loop, str) for loop in loops):
+        raise ValueError("loops: expected a list of strings")
     config: Optional[OrchestratorConfig] = None
     if doc.get("config") is not None:
-        config = OrchestratorConfig(**doc["config"])
+        config = _config_from_wire(doc["config"])
     return AnalysisRequest(
-        name=doc["name"],
-        source=doc["source"],
-        entry=doc.get("entry", "main"),
-        system=doc.get("system", "scaf"),
-        loops=tuple(doc.get("loops", ())),
+        name=_string(doc, "name"),
+        source=_string(doc, "source"),
+        entry=_string(doc, "entry", "main"),
+        system=system,
+        loops=tuple(loops),
         config=config,
     )
 

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ...core.module import AnalysisModule, Resolver
 from ...ir import (
+    AllocaInst,
     Argument,
     CallInst,
     Function,
@@ -120,7 +121,6 @@ class CallsiteSummaryAA(AnalysisModule):
                                  size if offset is not None else 0)
         if isinstance(base, Argument) and base.function is fn:
             return FootprintItem("arg", base.index, mode)
-        from ...ir import AllocaInst
         if isinstance(base, AllocaInst):
             return _SKIP  # callee-local storage, invisible to the caller
         return None  # loaded pointers, phis, fresh heap: give up
@@ -136,7 +136,6 @@ class CallsiteSummaryAA(AnalysisModule):
             return FootprintItem("global", base, item.mode)
         if isinstance(base, Argument) and base.function is fn:
             return FootprintItem("arg", base.index, item.mode)
-        from ...ir import AllocaInst
         if isinstance(base, AllocaInst):
             # Caller-local storage handed to the callee: root it at the
             # alloca via a query-time location (kept as a global-like

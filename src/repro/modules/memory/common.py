@@ -10,15 +10,24 @@ from ...ir import (
     Argument,
     CallInst,
     CastInst,
+    Constant,
     GEPInst,
     GlobalVariable,
+    ICmpInst,
     Instruction,
     LoadInst,
     NullPointer,
     PhiInst,
+    StoreInst,
     Value,
 )
-from ...query import AliasResult
+from ...query import (
+    AliasResult,
+    MemoryLocation,
+    ModRefQuery,
+    ModRefResult,
+    TemporalRelation,
+)
 
 #: Names of external functions returning fresh, unaliased memory.
 ALLOCATOR_NAMES = frozenset({"malloc", "calloc"})
@@ -74,7 +83,6 @@ def object_size(value: Value) -> Optional[int]:
         return value.allocated_type.size
     if is_allocator_call(value) and value.args:
         arg = value.args[0]
-        from ...ir import Constant
         if isinstance(arg, Constant):
             size = int(arg.value)
             if value.callee.name == "calloc" and len(value.args) > 1:
@@ -130,10 +138,6 @@ def premise_unexecutable(resolver, inst: Instruction, query):
     loop-scoped query semantics but useless (and unsound) as an
     executability proof.
     """
-    from ...ir import StoreInst
-    from ...query import (MemoryLocation, ModRefQuery, ModRefResult,
-                          TemporalRelation)
-
     if isinstance(inst, StoreInst):
         target = MemoryLocation.of(inst)
     else:
@@ -157,8 +161,6 @@ def capture_instructions(context, value: Value) -> Optional[List[Instruction]]:
     Returns the list of capturing instructions, or None if the
     analysis gave up (e.g. the pointer flows through a phi).
     """
-    from ...ir import GlobalVariable, ICmpInst, StoreInst
-
     if isinstance(value, GlobalVariable):
         # users_of sweeps every defined function; footprints must cover
         # this global's user set, not just the caller's reachable code.

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ...core.module import AnalysisModule, Resolver
-from ...ir import CastInst, Constant, GEPInst, StructType, Value
+from ...ir import (ArrayType, CastInst, Constant, GEPInst, PointerType,
+                   StructType, Value)
 from ...query import AliasQuery, AliasResult, QueryResponse
 from .common import is_allocator_call, is_loop_variant, strip_pointer
 
@@ -56,7 +57,6 @@ def _field_access(pointer: Value) -> Optional[Tuple[StructType, int]]:
     indices = pointer.indices
     # Walk to the last struct step of the GEP.
     result: Optional[Tuple[StructType, int]] = None
-    from ...ir import ArrayType, PointerType
     for i, idx in enumerate(indices):
         if i == 0:
             continue

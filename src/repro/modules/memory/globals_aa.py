@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from ...analysis import Loop
+from ...analysis import Loop, affine_parts
 from ...core.module import AnalysisModule, Resolver
 from ...ir import (
     CallInst,
@@ -31,7 +31,8 @@ from ...ir import (
     StoreInst,
     Value,
 )
-from ...query import AliasQuery, AliasResult, OptionSet, QueryResponse
+from ...query import (AliasQuery, AliasResult, OptionSet, QueryResponse,
+                      TemporalRelation)
 from .common import (
     capture_instructions,
     interval_alias,
@@ -40,6 +41,7 @@ from .common import (
     premise_unexecutable,
     strip_pointer,
 )
+from .scev_aa import affine_disjoint
 
 
 def _load_of_global(base: Value) -> Optional[GlobalVariable]:
@@ -159,8 +161,6 @@ class UniqueAccessPathsAA(AnalysisModule):
         base2, off2 = scev.pointer_offset(query.loc2.pointer, query.loop)
         if base1 is not b1 or base2 is not b2:
             return QueryResponse.may_alias()
-        from ...analysis import affine_parts
-        from .scev_aa import affine_disjoint
         a1 = affine_parts(off1, query.loop)
         a2 = affine_parts(off2, query.loop)
         if a1 is None or a2 is None:
@@ -169,7 +169,6 @@ class UniqueAccessPathsAA(AnalysisModule):
         size1, size2 = query.loc1.size, query.loc2.size
         if affine_disjoint(c1 - c2, s1, s2, size1, size2, query.relation):
             return QueryResponse(AliasResult.NO_ALIAS, options)
-        from ...query import TemporalRelation
         if (query.relation is TemporalRelation.SAME and (c1, s1) == (c2, s2)
                 and size1 == size2 and size1 > 0
                 and query.desired is not AliasResult.NO_ALIAS):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional
 
-from ...analysis import affine_parts
+from ...analysis import SCEVAddRec, affine_parts
 from ...core.module import AnalysisModule, Resolver
 from ...query import AliasQuery, AliasResult, QueryResponse, TemporalRelation
 from .common import is_loop_variant, strip_pointer
@@ -135,7 +135,6 @@ class InductionVariableAA(AnalysisModule):
         if is_loop_variant(base, query.loop):
             return QueryResponse.may_alias()
 
-        from ...analysis import SCEVAddRec
         if not (isinstance(offset, SCEVAddRec) and offset.loop is query.loop):
             return QueryResponse.may_alias()
         step = offset.step.constant_value()

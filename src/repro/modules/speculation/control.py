@@ -43,6 +43,7 @@ class ControlSpeculation(AnalysisModule):
 
     name = MODULE_CONTROL
     is_speculative = True
+    profiles_read = frozenset({"edge"})
     average_assertion_cost = CONTROL_SPEC_CHECK
 
     def __init__(self, context, profiles=None):

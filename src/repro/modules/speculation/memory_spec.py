@@ -29,6 +29,7 @@ class MemorySpeculation(AnalysisModule):
 
     name = MODULE_MEMORY_SPEC
     is_speculative = True
+    profiles_read = frozenset({"edge", "memdep"})
     average_assertion_cost = MEMORY_SPEC_CHECK
 
     def modref(self, query: ModRefQuery, resolver: Resolver) -> QueryResponse:

@@ -47,6 +47,7 @@ class PointsToSpeculation(AnalysisModule):
 
     name = MODULE_POINTS_TO
     is_speculative = True
+    profiles_read = frozenset({"points_to"})
     average_assertion_cost = PROHIBITIVE_COST
 
     def _sites(self, pointer: Value) -> Optional[Set[AllocationSite]]:

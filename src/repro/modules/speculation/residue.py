@@ -25,6 +25,7 @@ class PointerResidue(AnalysisModule):
 
     name = MODULE_RESIDUE
     is_speculative = True
+    profiles_read = frozenset({"residue"})
     average_assertion_cost = RESIDUE_CHECK
 
     def alias(self, query: AliasQuery, resolver: Resolver) -> QueryResponse:

@@ -34,6 +34,7 @@ from ...query import (
     OptionSet,
     QueryResponse,
     SpeculativeAssertion,
+    TemporalRelation,
 )
 from ..memory.common import object_size, strip_pointer
 from .common import (
@@ -54,6 +55,8 @@ class _SeparationBase(AnalysisModule):
 
     is_speculative = True
     module_id = "separation"
+    #: edge: the heap-check cost scales with execution counts.
+    profiles_read = frozenset({"edge"})
 
     # -- per-module hooks --------------------------------------------------
 
@@ -91,7 +94,6 @@ class _SeparationBase(AnalysisModule):
         for site in sites:
             if base is site.anchor:
                 return site, OptionSet.free()
-        from ...query import TemporalRelation
         for site in sites:
             premise = AliasQuery(loc, TemporalRelation.SAME,
                                  self._anchor_location(site),
@@ -174,6 +176,7 @@ class ReadOnly(_SeparationBase):
 
     name = MODULE_READ_ONLY
     module_id = MODULE_READ_ONLY
+    profiles_read = frozenset({"points_to", "edge"})
     average_assertion_cost = HEAP_CHECK
 
     def _sites(self, loop) -> Set[AllocationSite]:
@@ -219,6 +222,7 @@ class ShortLived(_SeparationBase):
 
     name = MODULE_SHORT_LIVED
     module_id = MODULE_SHORT_LIVED
+    profiles_read = frozenset({"lifetime", "edge"})
     average_assertion_cost = HEAP_CHECK + SHORT_LIVED_ITER_CHECK
 
     def _sites(self, loop) -> Set[AllocationSite]:

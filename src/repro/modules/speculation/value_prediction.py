@@ -37,6 +37,9 @@ class ValuePrediction(AnalysisModule):
 
     name = MODULE_VALUE_PRED
     is_speculative = True
+    #: memdep: dependences observed in the profile are left in place;
+    #: edge: the validation cost scales with execution counts.
+    profiles_read = frozenset({"value", "memdep", "edge"})
     average_assertion_cost = VALUE_PRED_CHECK
 
     def _is_predictable(self, inst) -> bool:

@@ -1,7 +1,7 @@
 """Profilers (§4.2.2): edge, value-prediction, points-to, lifetime,
 pointer-residue, and the loop-sensitive memory dependence profiler."""
 
-from .bundle import ProfileBundle, bundle_facts, run_profilers
+from .bundle import PROFILERS, ProfileBundle, bundle_facts, run_profilers
 from .edge import EdgeProfile, EdgeProfiler
 from .lifetime import LifetimeProfile, LifetimeProfiler
 from .memdep import DepKey, MemDepProfile, MemDepProfiler
@@ -12,7 +12,7 @@ from .sites import (AllocationSite, site_of, site_order_key,
 from .value import ValueProfile, ValueProfiler
 
 __all__ = [
-    "ProfileBundle", "bundle_facts", "run_profilers",
+    "PROFILERS", "ProfileBundle", "bundle_facts", "run_profilers",
     "EdgeProfile", "EdgeProfiler",
     "LifetimeProfile", "LifetimeProfiler",
     "DepKey", "MemDepProfile", "MemDepProfiler",

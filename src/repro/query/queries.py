@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Tuple, Union
 
 from ..analysis import DominatorTree, Loop, is_reachable
-from ..ir import BasicBlock, CallInst, Function, Instruction, Value
+from ..ir import (BasicBlock, CallInst, Function, Instruction, LoadInst,
+                  StoreInst, Value)
 
 
 class TemporalRelation(enum.Enum):
@@ -107,7 +108,6 @@ class MemoryLocation:
     @staticmethod
     def of(inst: Instruction) -> "MemoryLocation":
         """The footprint of a load or store."""
-        from ..ir import LoadInst, StoreInst
         if isinstance(inst, LoadInst):
             return MemoryLocation(inst.pointer, inst.access_size)
         if isinstance(inst, StoreInst):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .assertions import OptionSet
-from .queries import AliasResult, ModRefResult, precision
+from .queries import AliasResult, ModRefResult, most_precise, precision
 
 Result = Union[AliasResult, ModRefResult]
 
@@ -68,7 +68,6 @@ class QueryResponse:
 
     def is_definite_free(self) -> bool:
         """Most precise result with a cost-free option (base bailout)."""
-        from .queries import most_precise
         return (precision(self.result) == most_precise(type(self.result))
                 and self.options.is_free)
 

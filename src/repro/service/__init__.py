@@ -40,6 +40,7 @@ from .requests import (
     loop_footprint_digest,
     profile_digest,
     system_module_roster,
+    system_profilers,
 )
 from .scheduler import BatchScheduler
 from .service import (
@@ -85,5 +86,5 @@ __all__ = [
     "prepare_request", "prepared_cache_keys", "profile_digest",
     "request_for_file", "request_for_workload", "reset_prepared_cache",
     "run_loop_task", "summarize_pdg",
-    "system_module_roster",
+    "system_module_roster", "system_profilers",
 ]

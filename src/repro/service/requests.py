@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .. import __version__
 from ..core.orchestrator import OrchestratorConfig
@@ -57,12 +57,28 @@ SYSTEM_ROSTERS = {
 }
 
 
-def system_module_roster(system: str) -> Tuple[str, ...]:
-    """Class names of the modules ``system`` is built from."""
+def _roster(system: str) -> tuple:
     try:
-        return tuple(cls.__name__ for cls in SYSTEM_ROSTERS[system])
+        return SYSTEM_ROSTERS[system]
     except KeyError:
         raise ValueError(f"unknown analysis system: {system!r}") from None
+
+
+def system_module_roster(system: str) -> Tuple[str, ...]:
+    """Class names of the modules ``system`` is built from."""
+    return tuple(cls.__name__ for cls in _roster(system))
+
+
+def system_profilers(system: str) -> FrozenSet[str]:
+    """The profilers ``system``'s training run attaches: the union of
+    its modules' ``profiles_read``.  ``run_profilers`` adds the edge
+    profiler, so CAF's run attaches that one alone.
+
+    The version key names the system, so a prepared module built from
+    this partial bundle never builds another system.
+    """
+    return frozenset().union(*(cls.profiles_read
+                               for cls in _roster(system)))
 
 
 #: OrchestratorConfig fields that cannot change a computed answer:

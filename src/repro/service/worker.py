@@ -50,7 +50,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceSpec, current_tracer, set_tracer
 from ..profiling import run_profilers
 from .answers import LoopAnswer, summarize_pdg
-from .requests import AnalysisRequest, profile_digest
+from .requests import AnalysisRequest, profile_digest, system_profilers
 
 #: Default capacity of the worker-resident prepared-module LRU.
 DEFAULT_PREPARED_CACHE_SIZE = 4
@@ -136,7 +136,8 @@ class LoopTaskResult:
 def prepare_request(request: AnalysisRequest):
     """Parse, verify, and profile a request's module: the setup half
     of a :class:`PreparedModule`.  Returns ``(module, context,
-    profiles)``."""
+    profiles)``; the training run attaches only the profilers the
+    request's system reads (:func:`system_profilers`)."""
     tracer = current_tracer()
     with tracer.span("prepare", cat="prepare", workload=request.name,
                      entry=request.entry):
@@ -144,7 +145,8 @@ def prepare_request(request: AnalysisRequest):
             module = parse_module(request.source, name=request.name)
             verify_module(module)
         context = AnalysisContext(module)
-        profiles = run_profilers(module, context, entry=request.entry)
+        profiles = run_profilers(module, context, entry=request.entry,
+                                 profilers=system_profilers(request.system))
     return module, context, profiles
 
 

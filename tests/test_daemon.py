@@ -177,7 +177,8 @@ class TestProtocol:
 
     def test_request_round_trip(self):
         from repro.core.orchestrator import OrchestratorConfig
-        for config in (None, OrchestratorConfig(join_policy="eager")):
+        from repro.query import JoinPolicy
+        for config in (None, OrchestratorConfig(join_policy=JoinPolicy.ALL)):
             request = AnalysisRequest("t", make_source(), system="caf",
                                       loops=("@work:%loop",),
                                       config=config)
@@ -277,6 +278,36 @@ class TestRoundTrip:
                     c._rpc({"verb": "submit", "requests": [stale]})
                 assert info.value.code == protocol.ERR_BAD_REQUEST
                 assert "max_cache_entries" in str(info.value)
+                assert c.ping()["ok"]
+                assert c.run_batch([request]) == [[]]
+        finally:
+            daemon.stop()
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("system", lambda doc: doc.update(system="bogus")),
+        ("source", lambda doc: doc.update(source=5)),
+        ("max_premise_depth",
+         lambda doc: doc["config"].update(max_premise_depth="six")),
+        ("loops", lambda doc: doc.update(loops="@main")),
+    ], ids=["system", "source", "config", "loops"])
+    def test_malformed_request_is_refused_at_submit(self, tmp_path, field,
+                                                    mutate):
+        """A request field of the wrong type or value gets a typed
+        ``BAD_REQUEST`` naming the field when it is submitted, not a
+        job that later fails or answers nothing; the session keeps
+        serving."""
+        from repro.core.orchestrator import OrchestratorConfig
+        request = AnalysisRequest("t", make_source(), system="caf",
+                                  config=OrchestratorConfig())
+        bad = protocol.request_to_wire(request)
+        mutate(bad)
+        daemon, addr = start_daemon(tmp_path, service=hollow_service())
+        try:
+            with DaemonClient(addr) as c:
+                with pytest.raises(DaemonError) as info:
+                    c._rpc({"verb": "submit", "requests": [bad]})
+                assert info.value.code == protocol.ERR_BAD_REQUEST
+                assert field in str(info.value)
                 assert c.ping()["ok"]
                 assert c.run_batch([request]) == [[]]
         finally:
