@@ -27,38 +27,25 @@ class AnalysisContext:
         self._loops: Dict[int, LoopInfo] = {}
         self._scev: Dict[int, ScalarEvolution] = {}
         self._scan_trace: Set[Tuple[str, str]] = set()
-        self._scan_scope: Optional[Set[Tuple[str, str]]] = None
 
     # -- scan tracing ------------------------------------------------------
     #
     # Whole-module sweeps (a global's user scan, separation-site
     # enumeration) consult state outside the caller's reachable
-    # functions.  Analyses record what they swept here so the service
-    # layer can put exactly those entities — not the entire module
-    # header — into a cached answer's dependence footprint.
+    # functions, and the orchestrator notes every function a query it
+    # evaluates names.  Both land here, one trace per loop, so the
+    # service layer can put exactly those entities — not the entire
+    # module header — into a cached answer's dependence footprint.
 
     def note_scan(self, kind: str, name: str) -> None:
         """Record that the current analysis swept ``kind``/``name``
         (e.g. ``("global", "counter")`` for a users-of-global scan or
         ``("function", "helper")`` for a profile-site anchor)."""
-        note = (kind, name)
-        self._scan_trace.add(note)
-        if self._scan_scope is not None:
-            self._scan_scope.add(note)
-
-    def scope_scans(self, notes: Optional[Set[Tuple[str, str]]]
-                    ) -> Optional[Set[Tuple[str, str]]]:
-        """Also add every later note to ``notes`` (``None``: to no set)
-        until the next call, and return the set this call replaces, so
-        a nested caller can restore it.  The orchestrator scopes each
-        evaluation this way to learn exactly which sweeps a memoized
-        answer depends on, whatever the trace already held."""
-        outer = self._scan_scope
-        self._scan_scope = notes
-        return outer
+        self._scan_trace.add((kind, name))
 
     def reset_scan_trace(self) -> None:
-        """Clear the trace before analysing a new loop."""
+        """Clear the trace before analysing a new loop (see
+        :meth:`repro.core.framework.DependenceAnalysis.clear_cache`)."""
         self._scan_trace = set()
 
     def scan_trace(self) -> FrozenSet[Tuple[str, str]]:

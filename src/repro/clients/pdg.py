@@ -114,7 +114,12 @@ class PDGClient:
         self.discard_prohibitive = discard_prohibitive
 
     def analyze_loop(self, loop: Loop) -> LoopPDG:
-        """Query every potential dependence pair of the loop."""
+        """Query every potential dependence pair of the loop.
+
+        Each loop gets a fresh memo and trace, so its answer and
+        footprint do not depend on the loops analyzed before it.
+        """
+        self.system.clear_cache()
         pdg = LoopPDG(loop)
         insts = _memory_instructions(loop)
         cfg = CFGView.static(self.system.context, loop.function)

@@ -14,7 +14,7 @@ in the paper's evaluation:
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set
+from typing import FrozenSet, Optional, Sequence, Set
 
 from ..query import JoinPolicy, Query, QueryResponse, join, precision
 from .module import AnalysisModule, NullResolver
@@ -41,17 +41,6 @@ class ConfluenceComposition:
 
     def reset_stats(self) -> None:
         self.caf.reset_stats()
-
-    @property
-    def consulted_functions(self) -> Set[str]:
-        """Functions consulted since the last reset.  The top-level
-        query is traced by the inner CAF orchestrator; solo speculation
-        modules see that same query and issue no premises (their
-        resolver is null), so the trace is complete."""
-        return self.caf.consulted_functions
-
-    def reset_consulted(self) -> None:
-        self.caf.reset_consulted()
 
     def handle(self, query: Query) -> QueryResponse:
         contributors: Set[str] = set()

@@ -53,7 +53,11 @@ class DependenceAnalysis:
         self.coordinator.reset_stats()
 
     def clear_cache(self) -> None:
+        """Open a fresh scope: empty the coordinator's memo and the
+        context's trace.  The PDG client opens one per loop, so no
+        answer or footprint depends on the loops analyzed before."""
         self.coordinator.clear_cache()
+        self.context.reset_scan_trace()
 
 
 def build_caf(module: Module,

@@ -99,23 +99,15 @@ Answer = Tuple[QueryResponse, FrozenSet[str]]
 
 
 class _Frame:
-    """What one evaluation's subtree touched (see
-    :meth:`Orchestrator._handle`).
+    """The cut set of one evaluation's subtree (see
+    :meth:`Orchestrator._handle`)."""
 
-    The frame of a top-level query collects straight into the
-    orchestrator's ``consulted_functions``; it is never memoized.
-    """
+    __slots__ = ("cuts",)
 
-    __slots__ = ("cuts", "consulted", "scans")
-
-    def __init__(self, consulted: Optional[Set[str]] = None):
+    def __init__(self):
         #: In-flight keys the subtree was answered conservatively
         #: against; ``None`` while no cycle cut has happened.
         self.cuts: Optional[Set[tuple]] = None
-        #: Functions named by the subtree's premise queries.
-        self.consulted: Set[str] = set() if consulted is None else consulted
-        #: Scan notes the subtree recorded.
-        self.scans: Set[Tuple[str, str]] = set()
 
     def taint(self, cuts) -> None:
         """Mark the subtree cut against ``cuts`` (tainted even if empty)."""
@@ -126,16 +118,12 @@ class _Frame:
 
 
 class _Entry(NamedTuple):
-    """A memoized answer plus what its subtree touched, replayed on
-    every hit: a later loop served from the memo still depends on the
-    functions and whole-module sweeps the first evaluation consulted."""
+    """A memoized answer and the cut set it holds under."""
 
     answer: Answer
     #: ``None`` for a cut-free answer; else the keys that were in flight
     #: outside this query when its subtree cut a cycle against them.
     cuts: Optional[Set[tuple]]
-    consulted: Set[str]
-    scans: Set[Tuple[str, str]]
 
 
 class Orchestrator:
@@ -150,17 +138,14 @@ class Orchestrator:
             modules,
             key=lambda m: (m.is_speculative, m.average_assertion_cost))
         self.stats = OrchestratorStats()
-        #: Memoized answers by query key.  A cut-free entry is
-        #: context-free; a cut-tainted one (the latest per key) is
-        #: served only from inside the cycle it was cut in.
+        #: Memoized answers by query key, for one scope (a loop; see
+        #: :meth:`clear_cache`).  A cut-free entry is context-free; a
+        #: cut-tainted one (the latest per key) is served only from
+        #: inside the cycle it was cut in.
         self._memo: Dict[tuple, _Entry] = {}
         self._inflight: Set[tuple] = set()
         #: Contributor module names of the most recent top-level query.
         self.last_contributors: FrozenSet[str] = frozenset()
-        #: Names of every function any query (premises included) has
-        #: touched since the last :meth:`reset_consulted` — the raw
-        #: material of a cached answer's dependence footprint.
-        self.consulted_functions: Set[str] = set()
         self._analysis_context = next(
             (m.context for m in self.modules
              if getattr(m, "context", None) is not None), None)
@@ -170,7 +155,7 @@ class Orchestrator:
     def handle(self, query: Query) -> QueryResponse:
         """Resolve a client query (Algorithm 1)."""
         self.stats.queries += 1
-        root = _Frame(self.consulted_functions)
+        root = _Frame()
         tracer = current_tracer()
         if not tracer.enabled:
             response, contributors = self._handle(query, 0, root)
@@ -188,6 +173,7 @@ class Orchestrator:
         return response
 
     def clear_cache(self) -> None:
+        """Open a fresh memo scope (the PDG client does, per loop)."""
         self._memo.clear()
         self.stats.cache_size = 0
 
@@ -195,15 +181,11 @@ class Orchestrator:
         """Zero all counters (the memo cache itself is kept)."""
         self.stats = OrchestratorStats(cache_size=len(self._memo))
 
-    def reset_consulted(self) -> None:
-        """Start a fresh consulted-function trace (call per loop)."""
-        self.consulted_functions = set()
-
     # -- internals -----------------------------------------------------------
 
-    def _note_consulted(self, query: Query, noted: Set[str]) -> None:
-        """Record in ``noted`` which functions ``query`` exposes to the
-        modules.
+    def _note_consulted(self, query: Query) -> None:
+        """Note on the analysis context's trace, as ``("function",
+        name)``, every function ``query`` exposes to the modules.
 
         Every function named by the query's operands, loop, CFG view,
         or calling context (and the callee of any call instruction
@@ -212,15 +194,18 @@ class Orchestrator:
         :func:`repro.service.worker.loop_footprint` — is the cached
         answer's dependence footprint.
         """
+        ctx = self._analysis_context
+        if ctx is None:
+            return
 
         def note_value(value) -> None:
             name = _function_name_of(value)
             if name is not None:
-                noted.add(name)
+                ctx.note_scan("function", name)
             if isinstance(value, CallInst):
                 callee_name = getattr(value.callee, "name", None)
                 if isinstance(callee_name, str):
-                    noted.add(callee_name)
+                    ctx.note_scan("function", callee_name)
 
         if isinstance(query, ModRefQuery):
             note_value(query.inst)
@@ -236,10 +221,10 @@ class Orchestrator:
             note_value(call)
         loop = getattr(query, "loop", None)
         if loop is not None and getattr(loop, "function", None) is not None:
-            noted.add(loop.function.name)
+            ctx.note_scan("function", loop.function.name)
         cfg = getattr(query, "cfg", None)
         if cfg is not None and getattr(cfg, "function", None) is not None:
-            noted.add(cfg.function.name)
+            ctx.note_scan("function", cfg.function.name)
 
     def _handle(self, query: Query, depth: int, parent: _Frame) -> Answer:
         """Answer ``query`` for the evaluation whose frame is ``parent``.
@@ -252,11 +237,12 @@ class Orchestrator:
         still in flight, i.e. from inside the same cycle; probing it
         after the in-flight check makes a re-entered key cut rather
         than answer from a stale entry.
+
+        Only an evaluation notes the query's functions.  Within one
+        memo scope, a hit's key was evaluated earlier in the scope, so
+        everything its subtree noted is in the trace already.
         """
         key = query.key()
-        # Trace before the memo probe: a memoized answer still makes
-        # the final result depend on the functions this query names.
-        self._note_consulted(query, parent.consulted)
         tracer = current_tracer()
         entry = None
         if self.config.use_cache:
@@ -282,19 +268,13 @@ class Orchestrator:
         if entry is not None and entry.cuts <= self._inflight:
             return self._serve(entry, parent, tracer, depth, cut=True)
 
+        self._note_consulted(query)
         frame = _Frame()
-        ctx = self._analysis_context
-        outer_scans = ctx.scope_scans(frame.scans) if ctx is not None \
-            else None
         self._inflight.add(key)
         try:
             result = self._evaluate_modules(query, depth, frame)
         finally:
             self._inflight.discard(key)
-            if ctx is not None:
-                ctx.scope_scans(outer_scans)
-        parent.consulted |= frame.consulted
-        parent.scans |= frame.scans
 
         # A cycle cut in this subtree replaced a premise with the
         # conservative answer: the result is sound but holds only while
@@ -306,21 +286,14 @@ class Orchestrator:
             cuts.discard(key)
             parent.taint(cuts)
         if self.config.use_cache:
-            self._memo[key] = _Entry(result, cuts, frame.consulted,
-                                     frame.scans)
+            self._memo[key] = _Entry(result, cuts)
             self.stats.cache_size = len(self._memo)
         return result
 
     def _serve(self, entry: _Entry, parent: _Frame, tracer, depth: int,
                **event) -> Answer:
-        """A memo hit: replay what the entry's subtree touched into
-        ``parent`` (and the analysis context's scan trace)."""
+        """A memo hit: pass the entry's cut set on to ``parent``."""
         self.stats.cache_hits += 1
-        parent.consulted |= entry.consulted
-        if entry.scans:
-            ctx = self._analysis_context
-            for kind, name in entry.scans:
-                ctx.note_scan(kind, name)
         if entry.cuts is not None:
             parent.taint(entry.cuts)
         if tracer.enabled:

@@ -40,7 +40,9 @@ Protocol v3 removes ``max_cache_entries`` from a request's ``config``
 config still carries it is answered with ``BAD_REQUEST``, as is any
 request whose fields have the wrong JSON type, whose ``system`` is
 not a known analysis system, or whose config names an undeclared
-policy (:func:`request_from_wire`).
+policy (:func:`request_from_wire`).  A ``poll``, ``stream`` or
+``cancel`` whose ``job`` is missing or not a string gets
+``BAD_REQUEST`` too.
 """
 
 from __future__ import annotations

@@ -438,13 +438,28 @@ class AnalysisDaemon:
         await self._send(writer, protocol.ok(
             job=job.id, requests=len(requests)))
 
-    async def _verb_poll(self, message: dict,
-                         writer: asyncio.StreamWriter) -> None:
-        job = self._jobs.get(message.get("job", ""))
+    async def _job_of(self, message: dict,
+                      writer: asyncio.StreamWriter) -> Optional[_Job]:
+        """The job ``message`` names, or None once a typed error is
+        sent: ``BAD_REQUEST`` for a missing or non-string ``job``,
+        ``UNKNOWN_JOB`` for one this daemon does not hold."""
+        job_id = message.get("job")
+        if not isinstance(job_id, str):
+            await self._send(writer, protocol.error(
+                protocol.ERR_BAD_REQUEST,
+                f"bad request: job must be a string "
+                f"(got {type(job_id).__name__})"))
+            return None
+        job = self._jobs.get(job_id)
         if job is None:
             await self._send(writer, protocol.error(
-                protocol.ERR_UNKNOWN_JOB,
-                f"no such job {message.get('job')!r}"))
+                protocol.ERR_UNKNOWN_JOB, f"no such job {job_id!r}"))
+        return job
+
+    async def _verb_poll(self, message: dict,
+                         writer: asyncio.StreamWriter) -> None:
+        job = await self._job_of(message, writer)
+        if job is None:
             return
         doc = protocol.ok(job=job.id, status=job.status)
         if job.status in (JOB_DONE, JOB_CANCELLED):
@@ -456,11 +471,8 @@ class AnalysisDaemon:
     async def _verb_stream(self, message: dict,
                            writer: asyncio.StreamWriter) -> None:
         """Per-loop answers as they land, then the final summary."""
-        job = self._jobs.get(message.get("job", ""))
+        job = await self._job_of(message, writer)
         if job is None:
-            await self._send(writer, protocol.error(
-                protocol.ERR_UNKNOWN_JOB,
-                f"no such job {message.get('job')!r}"))
             return
         while True:
             get = asyncio.ensure_future(job.stream_q.get())
@@ -487,11 +499,8 @@ class AnalysisDaemon:
 
     async def _verb_cancel(self, message: dict,
                            writer: asyncio.StreamWriter) -> None:
-        job = self._jobs.get(message.get("job", ""))
+        job = await self._job_of(message, writer)
         if job is None:
-            await self._send(writer, protocol.error(
-                protocol.ERR_UNKNOWN_JOB,
-                f"no such job {message.get('job')!r}"))
             return
         job.cancel_requested = True
         swept = self.service.scheduler.engine.cancel_client(job.client_tag)

@@ -36,6 +36,8 @@ from ...query import (
 from .common import strip_pointer
 from .stdlib import STDLIB_MODELS
 
+#: A defined function with a chain of this many calls to defined
+#: functions below it is summarized as unbounded.
 MAX_SUMMARY_DEPTH = 3
 
 
@@ -54,6 +56,10 @@ class FootprintItem:
     size: int = 0
 
 
+#: ``(items, height)``; ``items`` is None when unbounded.
+Summary = Tuple[Optional[List[FootprintItem]], int]
+
+
 class CallsiteSummaryAA(AnalysisModule):
     """Disproves the *update* condition of §2.1 across calls."""
 
@@ -61,57 +67,65 @@ class CallsiteSummaryAA(AnalysisModule):
 
     def __init__(self, context, profiles=None):
         super().__init__(context, profiles)
-        self._summaries: Dict[int, Optional[List[FootprintItem]]] = {}
+        #: By function.  A summary depends on its function alone, so
+        #: the memo is kept across loops.
+        self._summaries: Dict[int, Summary] = {}
 
     # -- summaries ------------------------------------------------------------
 
-    def summarize(self, fn: Function, depth: int = 0
-                  ) -> Optional[List[FootprintItem]]:
+    def summarize(self, fn: Function) -> Optional[List[FootprintItem]]:
         """The function's footprint items, or None if unbounded."""
-        key = id(fn)
-        if key in self._summaries:
-            return self._summaries[key]
-        self._summaries[key] = None  # cut recursion conservatively
-        result = self._summarize(fn, depth)
-        self._summaries[key] = result
-        return result
+        return self._summary(fn)[0]
 
-    def _summarize(self, fn: Function, depth: int
-                   ) -> Optional[List[FootprintItem]]:
+    def _summary(self, fn: Function) -> Summary:
+        """``(items, height)``, where the height is the length of the
+        longest chain of calls to defined functions below ``fn``
+        (declarations do not count)."""
+        key = id(fn)
+        summary = self._summaries.get(key)
+        if summary is None:
+            self._summaries[key] = (None, 0)  # cut recursion conservatively
+            summary = self._summaries[key] = self._summarize(fn)
+        return summary
+
+    def _summarize(self, fn: Function) -> Summary:
         if fn.is_declaration:
             model = STDLIB_MODELS.get(fn.name)
             if model is None:
-                return None
+                return None, 0
             items = [FootprintItem("state", model.state, "mod")] \
                 if model.state else []
             for access in model.accesses:
                 items.append(FootprintItem("arg", access.arg_index,
                                            access.mode))
-            return items
-        if depth >= MAX_SUMMARY_DEPTH:
-            return None
+            return items, 0
 
         items: List[FootprintItem] = []
+        height = 0
         for inst in fn.instructions():
             if isinstance(inst, (LoadInst, StoreInst)):
                 pointer = inst.pointer
                 mode = "mod" if isinstance(inst, StoreInst) else "ref"
                 item = self._root_item(fn, pointer, mode, inst.access_size)
                 if item is None:
-                    return None
+                    return None, 0
                 if item is not _SKIP:
                     items.append(item)
             elif isinstance(inst, CallInst):
-                sub = self.summarize(inst.callee, depth + 1)
+                sub, sub_height = self._summary(inst.callee)
                 if sub is None:
-                    return None
+                    return None, 0
+                if not inst.callee.is_declaration:
+                    height = max(height, sub_height + 1)
+                    if height >= MAX_SUMMARY_DEPTH:
+                        return None, 0
                 for item in sub:
                     mapped = self._map_through_call(fn, inst, item)
                     if mapped is None:
-                        return None
+                        return None, 0
                     if mapped is not _SKIP:
                         items.append(mapped)
-        return items
+        return items, height
 
     def _root_item(self, fn: Function, pointer: Value, mode: str,
                    size: int):

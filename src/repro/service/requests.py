@@ -167,8 +167,8 @@ def loop_footprint_digest(footprint: Sequence[str],
     """Digest of the exact code a cached loop answer depends on.
 
     ``footprint`` names the functions the analysis consulted (callgraph
-    reachability from the loop's function plus the orchestrator's
-    consulted-function trace); ``fingerprints`` maps function name to
+    reachability from the loop's function plus the functions on the
+    loop's trace); ``fingerprints`` maps function name to
     content hash in some module version (:func:`repro.ir.
     module_fingerprints`).  Returns ``None`` when a footprint function
     does not exist in that module — the answer cannot be valid there.

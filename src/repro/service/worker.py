@@ -154,12 +154,13 @@ def loop_footprint(system: DependenceAnalysis, loop) -> Tuple[str, ...]:
     """The dependence footprint of the loop just analyzed on
     ``system``: every entity whose content the answer may depend on.
 
-    Functions come from callgraph reachability plus the orchestrator's
-    consulted-function trace plus scan-trace anchors (separation-site
-    enumeration touches functions outside the reachable set).  On top
-    of those the footprint names the header entities the analysis
-    actually used — ``global:``/``globalusers:``/``struct:`` entries
-    plus the ``meta:scoped`` sentinel — so the footprint digest
+    Functions come from callgraph reachability plus the loop's trace:
+    the orchestrator notes every function a query it evaluated names,
+    and separation-site enumeration notes anchors outside the
+    reachable set.  On top of those the footprint names the header
+    entities the analysis actually used —
+    ``global:``/``globalusers:``/``struct:`` entries plus the
+    ``meta:scoped`` sentinel — so the footprint digest
     (:func:`repro.service.requests.loop_footprint_digest`) no longer
     has to fold in the whole-module header hash: edits to *unrelated*
     globals or structs leave every one of these entries unchanged.
@@ -168,9 +169,6 @@ def loop_footprint(system: DependenceAnalysis, loop) -> Tuple[str, ...]:
     module = context.module
     reachable = context.callgraph.reachable_from(loop.function)
     names = {fn.name for fn in reachable}
-    consulted = getattr(system.coordinator, "consulted_functions", None)
-    if consulted:
-        names.update(set(consulted))
     scanned_globals = set()
     for kind, name in context.scan_trace():
         if kind == "function":
@@ -455,10 +453,6 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
 
     system = entry.system
     with entry.lock:
-        reset_consulted = getattr(system.coordinator, "reset_consulted",
-                                  lambda: None)
-        reset_consulted()
-        entry.context.reset_scan_trace()
         evals_before = dict(system.stats.module_evals)
         total_before = system.stats.total_module_evals
         queries_before = system.stats.queries
@@ -467,8 +461,8 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
                          workload=request.name, system=request.system):
             pdg = entry.client.analyze_loop(h.loop)
             latency = time.perf_counter() - loop_started
-        # Read inside the lock: the next task on this entry resets the
-        # consulted and scan traces the footprint is made of.
+        # Read inside the lock: the next task on this entry clears the
+        # trace the footprint is made of.
         result.footprint = loop_footprint(system, h.loop)
         for module_name, evals in sorted(
                 system.stats.module_evals.items()):

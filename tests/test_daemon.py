@@ -313,6 +313,22 @@ class TestRoundTrip:
         finally:
             daemon.stop()
 
+    @pytest.mark.parametrize("verb", ["poll", "stream", "cancel"])
+    def test_non_string_job_is_refused(self, tmp_path, verb):
+        """A job id that is not a string gets a typed ``BAD_REQUEST``
+        naming ``job``, not an ``INTERNAL`` error from hashing it; the
+        session keeps serving."""
+        daemon, addr = start_daemon(tmp_path, service=hollow_service())
+        try:
+            with DaemonClient(addr) as c:
+                with pytest.raises(DaemonError) as info:
+                    c._rpc({"verb": verb, "job": ["j1"]})
+                assert info.value.code == protocol.ERR_BAD_REQUEST
+                assert "job" in str(info.value)
+                assert c.ping()["ok"]
+        finally:
+            daemon.stop()
+
 
 # -- frame size limit --------------------------------------------------------
 

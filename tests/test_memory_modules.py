@@ -21,6 +21,7 @@ from repro.modules.memory import (
     UniqueAccessPathsAA,
     default_memory_modules,
 )
+from repro.modules.memory.callsite import FootprintItem
 from repro.query import (
     AliasQuery,
     AliasResult,
@@ -669,6 +670,48 @@ entry:
         calls = [i for i in main.instructions() if i.opcode == "call"]
         q = ModRefQuery(calls[1], TemporalRelation.SAME, v["w"], None)
         assert self._orch(ctx).handle(q).result is ModRefResult.NO_MOD_REF
+
+    CHAIN = """
+global @g : i32 = 0
+func @f4() -> void {
+entry:
+  store i32 1, i32* @g
+  ret
+}
+func @f3() -> void {
+entry:
+  call @f4()
+  ret
+}
+func @f2() -> void {
+entry:
+  call @f3()
+  ret
+}
+func @f1() -> void {
+entry:
+  call @f2()
+  ret
+}
+func @main() -> i32 {
+entry:
+  call @f1()
+  ret i32 0
+}
+"""
+
+    def test_summary_does_not_depend_on_the_depth_first_reached(self):
+        """``@f2`` is two defined calls above ``@f4``: bounded, whether
+        or not ``@main`` (four above) was summarized first."""
+        m = parse_module(self.CHAIN)
+        ctx = AnalysisContext(m)
+        f2 = m.get_function("f2")
+        alone = CallsiteSummaryAA(ctx).summarize(f2)
+        assert alone == [FootprintItem("global", m.globals["g"], "mod", 4)]
+        aa = CallsiteSummaryAA(ctx)
+        assert aa.summarize(m.get_function("main")) is None
+        assert aa.summarize(m.get_function("f1")) is None
+        assert aa.summarize(f2) == alone
 
 
 class TestDefaultModuleList:

@@ -7,6 +7,7 @@ from repro.analysis import AnalysisContext
 from repro.core import (
     AnalysisModule,
     BailoutPolicy,
+    DependenceAnalysis,
     NullResolver,
     Orchestrator,
     OrchestratorConfig,
@@ -299,12 +300,20 @@ class TestCutMemo:
 
 
 class TestMemoFootprints:
-    """A memo hit replays everything its first evaluation's subtree
-    touched, so a later loop served from the memo gets the same
-    footprint as a fresh evaluation (see
+    """Each loop is one memo scope (``DependenceAnalysis.clear_cache``,
+    which the PDG client calls per loop): a query memoized in one loop
+    is evaluated again in the next, so that loop's own trace holds its
+    scan notes and consulted functions (see
     :func:`repro.service.worker.loop_footprint`)."""
 
-    def test_hit_replays_scans_already_in_the_trace(self):
+    @staticmethod
+    def _system(aa):
+        """A system of ``aa`` alone, over its context."""
+        ctx = aa.context
+        return DependenceAnalysis("t", ctx.module, ctx, None,
+                                  Orchestrator([aa]))
+
+    def test_next_loop_re_evaluates_and_traces_scans(self):
         qa = make_query()
         qb = AliasQuery(MemoryLocation(GlobalVariable("c", I32), 4),
                         TemporalRelation.SAME,
@@ -314,25 +323,23 @@ class TestMemoFootprints:
             name = "scanner"
 
             def alias(self, query, resolver):
-                self.context.note_scan("global", "g")
+                if query is qb:
+                    self.context.note_scan("global", "g")
                 if query is qa:
                     resolver.premise(qb)
                 return QueryResponse.may_alias()
 
-        def scans_of_qb(warm):
-            ctx = AnalysisContext(Module("t"))
-            orch = Orchestrator([_Scanner(ctx, None)])
-            if warm:
-                orch.handle(qa)          # memoizes qb as a premise
-            ctx.reset_scan_trace()
-            orch.handle(qb)
-            assert orch.stats.cache_hits == int(warm)
-            return sorted(ctx.scan_trace())
+        ctx = AnalysisContext(Module("t"))
+        system = self._system(_Scanner(ctx, None))
+        system.query(qa)                 # loop A memoizes qb as a premise
+        system.clear_cache()             # loop B's scope
+        assert ctx.scan_trace() == frozenset()
+        system.query(qa)
+        assert system.stats.cache_hits == 0
+        assert system.stats.total_module_evals == 4
+        assert sorted(ctx.scan_trace()) == [("global", "g")]
 
-        assert scans_of_qb(warm=False) == [("global", "g")]
-        assert scans_of_qb(warm=True) == [("global", "g")]
-
-    def test_hit_replays_consulted_functions(self):
+    def test_next_loop_re_evaluates_and_traces_functions(self):
         module = parse_module("""
 func @helper(i32* %p) -> void {
 entry:
@@ -352,17 +359,17 @@ entry:
                     resolver.premise(qc)
                 return QueryResponse.may_alias()
 
-        def consulted_by_qb(warm):
-            orch = Orchestrator([_Asker(AnalysisContext(module), None)])
-            if warm:
-                orch.handle(qb)
-            orch.reset_consulted()
-            orch.handle(qb)
-            assert orch.stats.cache_hits == int(warm)
-            return sorted(orch.consulted_functions)
+        ctx = AnalysisContext(module)
+        system = self._system(_Asker(ctx, None))
+        system.query(qb)                 # loop A memoizes qc as a premise
+        system.clear_cache()             # loop B's scope
+        assert ctx.scan_trace() == frozenset()
+        system.query(qb)
+        assert system.stats.cache_hits == 0
+        assert system.stats.total_module_evals == 4
+        assert sorted(ctx.scan_trace()) == [("function", "helper")]
 
-        assert consulted_by_qb(warm=False) == ["helper"]
-        assert consulted_by_qb(warm=True) == ["helper"]
+
 # -- generated premise graphs -------------------------------------------------
 
 # -- generated premise graphs --------------------------------------------------

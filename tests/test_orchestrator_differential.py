@@ -46,8 +46,6 @@ def analyze(prepared, build, reverse):
     hot = hot_loops(prepared.profiles)
     loops = []
     for h in (reversed(hot) if reverse else hot):
-        system.coordinator.reset_consulted()
-        prepared.context.reset_scan_trace()
         pdg = client.analyze_loop(h.loop)
         loops.append((summarize_pdg(prepared.name, system.name, pdg,
                                     h.time_fraction, 0.0),

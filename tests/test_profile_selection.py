@@ -176,8 +176,6 @@ def _answers(system_name, request, module, context, profiles):
     client = PDGClient(system)
     out = []
     for h in hot_loops(profiles):
-        system.coordinator.reset_consulted()
-        context.reset_scan_trace()
         pdg = client.analyze_loop(h.loop)
         answer = summarize_pdg(request.name, system_name, pdg,
                                h.time_fraction, 0.0)

@@ -13,6 +13,12 @@ at two widths), callee accesses attributed to callsites, a callee
 entered many times, a location read for many iterations with no store,
 a recursive loop (one loop twice in the loop stack) and an irreducible
 cycle (one instruction re-run with unchanged loop state).
+
+:func:`multi_loop_programs` generates a second shape, with two or
+three hot loops in ``@main`` and a chain of calls longer than
+``MAX_SUMMARY_DEPTH``: the first loop enters the chain at its top and
+the second at its tail.  Its facts are checked here too, and
+``tests/test_loop_order.py`` analyzes its loops in every order.
 """
 
 from unittest import mock
@@ -22,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisContext
 from repro.ir import parse_module
+from repro.modules.memory.callsite import MAX_SUMMARY_DEPTH
 from repro.profiling import bundle as bundle_module
 from repro.profiling import bundle_facts, run_profilers
 from repro.workloads import ALL_WORKLOADS, WORKLOADS
@@ -195,6 +202,86 @@ exit:
 """
 
 
+#: A load or store of one of the multi-loop programs' i32 globals.
+_GLOBAL_ACCESS = st.tuples(st.sampled_from(["load", "store"]),
+                           st.sampled_from(["g", "h0", "h1"]))
+
+
+def _global_accesses(tag, accesses):
+    """IR lines for ``accesses``, each a (kind, global) pair."""
+    lines = []
+    for n, (kind, name) in enumerate(accesses):
+        if kind == "load":
+            lines.append(f"  %{tag}{n} = load i32* @{name}")
+        else:
+            lines.append(f"  store i32 {n}, i32* @{name}")
+    return "\n".join(lines)
+
+
+#: Arithmetic padding per loop iteration.  It keeps every loop of a
+#: multi-loop program above the 10% hotness threshold: the lightest
+#: iteration (6 + pad instructions, 50 trips) against two of the
+#: heaviest (46 + pad, 70 trips) needs a pad of at least 13.
+_PAD = 16
+
+
+def _multi_loop_program(chain, entries, bodies, trips):
+    """``@main`` runs one loop per entry, one after the other.  Loop
+    ``k`` calls chain function ``entries[k]`` once per iteration and
+    makes ``bodies[k]``: a (global accesses, buffer accesses) pair.
+    Chain function ``@c<i>`` makes ``chain[i]`` global accesses and
+    calls ``@c<i+1>``; callees are printed before their callers."""
+    functions = []
+    for i, accesses in enumerate(chain):
+        lines = [f"func @c{i}() -> void {{", "entry:",
+                 _global_accesses(f"c{i}.", accesses)]
+        if i + 1 < len(chain):
+            lines.append(f"  call @c{i + 1}()")
+        functions.insert(0, lines + ["  ret", "}"])
+    lines = ["func @main() -> i64 {", "entry:",
+             "  %base = gep [64 x i8]* @buf, i64 0, i64 0", "  br %L0"]
+    for k, (entry, (globals_, buffer), trip) in enumerate(
+            zip(entries, bodies, trips)):
+        pred = "entry" if k == 0 else f"L{k - 1}"
+        after = f"L{k + 1}" if k + 1 < len(entries) else "exit"
+        lines += [f"L{k}:",
+                  f"  %i{k} = phi i64 [0, %{pred}], [%i{k}.n, %L{k}]",
+                  f"  call @c{entry}()",
+                  _global_accesses(f"l{k}.", globals_),
+                  _accesses(f"l{k}.", buffer, "%base", f"%i{k}")]
+        lines += [f"  %pad{k}.{j} = add i64 %i{k}, {j}" for j in range(_PAD)]
+        lines += [f"  %i{k}.n = add i64 %i{k}, 1",
+                  f"  %i{k}.c = icmp slt i64 %i{k}.n, {trip}",
+                  f"  condbr i1 %i{k}.c, %L{k}, %{after}"]
+    functions.append(lines + ["exit:", "  ret i64 0", "}"])
+    header = ["global @buf : [64 x i8] = zeroinit", "global @g : i32 = 0",
+              "global @h0 : i32 = 0", "global @h1 : i32 = 0"]
+    return "\n\n".join("\n".join(line for line in part if line)
+                       for part in [header] + functions) + "\n"
+
+
+@st.composite
+def multi_loop_programs(draw):
+    """Module text with two or three hot loops and a call chain of
+    ``MAX_SUMMARY_DEPTH + 1`` to ``+ 3`` functions; loop 0 calls the
+    chain's top, loop 1 its tail, and loop 2 (if any) any link."""
+    length = draw(st.integers(min_value=MAX_SUMMARY_DEPTH + 1,
+                              max_value=MAX_SUMMARY_DEPTH + 3))
+    chain = draw(st.lists(st.lists(_GLOBAL_ACCESS, max_size=2),
+                          min_size=length, max_size=length))
+    loops = draw(st.integers(min_value=2, max_value=3))
+    entries = [0, length - 1] + draw(st.lists(
+        st.integers(min_value=0, max_value=length - 1),
+        min_size=loops - 2, max_size=loops - 2))
+    bodies = draw(st.lists(
+        st.tuples(st.lists(_GLOBAL_ACCESS, max_size=3),
+                  st.lists(_ACCESS, max_size=2)),
+        min_size=loops, max_size=loops))
+    trips = draw(st.lists(st.integers(min_value=50, max_value=70),
+                          min_size=loops, max_size=loops))
+    return _multi_loop_program(chain, entries, bodies, trips)
+
+
 class TestGeneratedPrograms:
     @given(outer=st.lists(_ACCESS, max_size=5),
            inner=st.lists(_ACCESS, max_size=4),
@@ -211,6 +298,14 @@ class TestGeneratedPrograms:
                                  second_call, heap):
         text = _program(outer, inner, callee, recursive, outer_trips,
                         inner_trips, depth, second_call, heap)
+        for compile_ in (False, True):
+            new = _facts(parse_module(text), compile_, oracle=False)
+            old = _facts(parse_module(text), compile_, oracle=True)
+            assert new == old
+
+    @given(text=multi_loop_programs())
+    @settings(max_examples=10, deadline=None)
+    def test_multi_loop_facts_match_oracles(self, text):
         for compile_ in (False, True):
             new = _facts(parse_module(text), compile_, oracle=False)
             old = _facts(parse_module(text), compile_, oracle=True)
