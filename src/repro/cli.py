@@ -578,12 +578,21 @@ def cmd_submit(args) -> int:
                 }, indent=2, default=str))
                 return 0
 
-            def show(doc):
-                a = loop_answer_from_dict(doc)
+            shown = set()
+
+            def show(a):
+                shown.add((a.workload, a.loop))
                 _print_loop_answers([a], args.system,
                                     prefix=f"{a.workload}/")
 
-            client.run_batch(requests, on_answer=show)
+            answers = client.run_batch(
+                requests,
+                on_answer=lambda doc: show(loop_answer_from_dict(doc)))
+            # Only worker-delivered answers stream; cache hits and
+            # revalidated answers arrive with the finished job.
+            for a in (a for group in answers for a in group):
+                if (a.workload, a.loop) not in shown:
+                    show(a)
             return 0
     except DaemonError as exc:
         kind = ("busy" if exc.busy else

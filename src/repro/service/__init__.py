@@ -36,6 +36,7 @@ from .cache import CacheEntryMeta, FootprintHit, ResultCache
 from .requests import (
     ANSWER_IRRELEVANT_CONFIG_FIELDS,
     AnalysisRequest,
+    TrainingRun,
     config_fingerprint,
     loop_footprint_digest,
     profile_digest,
@@ -77,7 +78,7 @@ __all__ = [
     "LatencyHistogram", "LoopAnswer",
     "LoopTask", "LoopTaskResult", "PreparedModule",
     "QueryAnswer", "ResultCache", "ServiceConfig", "ServiceTelemetry",
-    "TelemetrySnapshot",
+    "TelemetrySnapshot", "TrainingRun",
     "STATUS_CACHED", "STATUS_COMPUTED", "STATUS_FALLBACK",
     "build_system", "config_fingerprint", "executed_function_scope",
     "fallback_answer",

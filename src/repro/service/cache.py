@@ -65,7 +65,7 @@ import os
 import sqlite3
 import threading
 import time
-from dataclasses import dataclass, field as dataclasses_field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .answers import (
@@ -75,7 +75,7 @@ from .answers import (
     loop_answer_from_dict,
     loop_answer_to_dict,
 )
-from .requests import loop_footprint_digest
+from .requests import TrainingRun, loop_footprint_digest
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -148,24 +148,12 @@ class CacheEntryMeta:
     system: str
     entry: str
     modules: Tuple[str, ...]
-    profile_digest: str
-    hot_loops: Tuple[str, ...]      # every hot loop of the profile
+    #: The training run the key's answers came from.  Migrated rows
+    #: carry empty provenance (v3 and v4 fields), which never allows
+    #: roster reuse and falls back to fraction-only LPT ordering.
+    run: TrainingRun
     created_at: float
     lineage_key: str = ""
-    #: Loop name -> profiled share of execution time (v3; empty on
-    #: migrated rows).  Feeds LPT task ordering and roster reuse.
-    hot_fractions: Mapping[str, float] = \
-        dataclasses_field(default_factory=dict)
-    #: Every function whose content could have influenced the training
-    #: run (executed definitions + entry + declarations).
-    executed_functions: Tuple[str, ...] = ()
-    #: Digest of the executed functions' content hashes + module
-    #: header in the producing module; an edited module with an equal
-    #: recomputed digest provably replays the same execution.
-    profile_scope_digest: str = ""
-    #: Total dynamic instructions of the training run (v4; 0 on
-    #: migrated rows).  Scales fractions into absolute LPT weights.
-    total_instructions: int = 0
 
 
 @dataclass(frozen=True)
@@ -175,6 +163,9 @@ class FootprintHit:
     loop: str
     answer: LoopAnswer              # status forced to ``cached``
     footprint: Tuple[str, ...]      # consulted-function names
+    #: The stored footprint digest, which the revalidation proved
+    #: equal to the one computed on the edited module.
+    digest: str
 
 
 class ResultCache:
@@ -255,14 +246,15 @@ class ResultCache:
             version_key=row[0],
             workload=row[1], system=row[2], entry=row[3],
             modules=tuple(json.loads(row[4])),
-            profile_digest=row[5],
-            hot_loops=tuple(json.loads(row[6])),
+            run=TrainingRun(
+                hot_loops=tuple(json.loads(row[6])),
+                hot_fractions=json.loads(row[9] or "{}"),
+                total_instructions=int(row[12] or 0),
+                profile_digest=row[5],
+                executed_functions=tuple(json.loads(row[10] or "[]")),
+                scope_digest=row[11] or ""),
             created_at=row[7],
             lineage_key=row[8],
-            hot_fractions=json.loads(row[9] or "{}"),
-            executed_functions=tuple(json.loads(row[10] or "[]")),
-            profile_scope_digest=row[11] or "",
-            total_instructions=int(row[12] or 0),
         )
 
     def meta(self, version_key: str) -> Optional[CacheEntryMeta]:
@@ -313,7 +305,7 @@ class ResultCache:
         meta = self.meta(version_key)
         if meta is None:
             return None
-        wanted = tuple(loops) or meta.hot_loops
+        wanted = tuple(loops) or meta.run.hot_loops
         rows = dict(self._with_retry(lambda: self._conn.execute(
             "SELECT loop_name, payload FROM answers"
             " WHERE version_key = ?", (version_key,)).fetchall()))
@@ -385,29 +377,23 @@ class ResultCache:
                 loop=loop_name,
                 answer=loop_answer_from_dict(doc),
                 footprint=footprint,
+                digest=stored_digest,
             ))
         return {name: hit for name, (_, hit) in best.items()}
 
     # -- mutation ------------------------------------------------------------
 
     def store(self, version_key: str, *, workload: str, system: str,
-              entry: str, modules: Sequence[str], profile_digest: str,
-              hot_loops: Sequence[str],
+              entry: str, modules: Sequence[str], run: TrainingRun,
               answers: Sequence[LoopAnswer],
               lineage_key: str = "",
-              footprints: Mapping[str, Sequence[str]] = {},
-              fingerprints: Mapping[str, str] = {},
-              header_fingerprint: str = "",
-              hot_fractions: Mapping[str, float] = {},
-              executed_functions: Sequence[str] = (),
-              profile_scope_digest: str = "",
-              total_instructions: int = 0) -> None:
+              footprints: Mapping[str, Tuple[Sequence[str], str]] = {}
+              ) -> None:
         """Insert or refresh one version key's results atomically.
 
-        ``footprints`` maps loop name to the consulted-function names
-        of its answer; together with the producing module's
-        ``fingerprints`` and ``header_fingerprint`` it yields the
-        stored footprint digest that future incremental probes compare
+        ``run`` fills the meta row.  ``footprints`` maps loop name to
+        the consulted-entity names of its answer and their digest in
+        the producing module, which future incremental probes compare
         against.  Loops without a footprint (degraded paths, legacy
         callers) store an empty digest and only ever serve exact-key
         lookups.
@@ -415,25 +401,21 @@ class ResultCache:
         now = time.time()
         rows = []
         for a in answers:
-            footprint = tuple(footprints.get(a.loop, ()))
-            digest = None
-            if footprint and fingerprints:
-                digest = loop_footprint_digest(footprint, fingerprints,
-                                               header_fingerprint)
+            footprint, digest = footprints.get(a.loop, ((), ""))
             doc = loop_answer_to_dict(a)
             if doc["status"] == STATUS_CACHED:
                 # Re-persisting a served answer under a fresh version
                 # key: the payload represents a computed result.
                 doc["status"] = STATUS_COMPUTED
             rows.append((version_key, a.loop, lineage_key,
-                         json.dumps(list(footprint)), digest or "", now,
+                         json.dumps(list(footprint)), digest, now,
                          json.dumps(doc, sort_keys=True)))
         meta_row = (version_key, lineage_key, workload, system, entry,
-                    json.dumps(list(modules)), profile_digest,
-                    json.dumps(list(hot_loops)), now,
-                    json.dumps(dict(hot_fractions), sort_keys=True),
-                    json.dumps(list(executed_functions)),
-                    profile_scope_digest, int(total_instructions))
+                    json.dumps(list(modules)), run.profile_digest,
+                    json.dumps(list(run.hot_loops)), now,
+                    json.dumps(dict(run.hot_fractions), sort_keys=True),
+                    json.dumps(list(run.executed_functions)),
+                    run.scope_digest, int(run.total_instructions))
 
         def _write():
             # Explicit column lists: on a migrated v1 database the new

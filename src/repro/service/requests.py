@@ -24,15 +24,15 @@ Cache keying comes in three granularities:
 
 The training profile is a pure function of IR text + entry (the
 interpreter is deterministic), so those subsume the profile bundle;
-the bundle's own digest is additionally stored alongside cached
-results for audit.
+what the serving layer keeps of it is one :class:`TrainingRun`
+record, stored alongside cached results.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import FrozenSet, Mapping, Optional, Sequence, Tuple
 
 from .. import __version__
@@ -156,6 +156,30 @@ class AnalysisRequest:
         return f"{self.lineage_key()}:{self.name}"
 
 
+@dataclass(frozen=True)
+class TrainingRun:
+    """What a module's training run (paper §4.2) tells the serving
+    layer, built once per prepared module in the worker and carried
+    whole by task results, the scheduler and the cache's meta row.
+
+    ``scope_digest`` is the :func:`loop_footprint_digest` of
+    ``executed_functions`` (:func:`repro.service.worker.
+    executed_function_scope`) in the profiled module: an edited module
+    with an equal recomputed digest provably replays the run.  An
+    empty ``hot_loops`` is a known answer, not an unknown one.
+    """
+
+    hot_loops: Tuple[str, ...] = ()         # hottest first
+    #: Loop name -> profiled share of execution time.
+    hot_fractions: Mapping[str, float] = field(default_factory=dict)
+    #: Total dynamic instructions; scales the fractions into
+    #: cross-module-comparable LPT weights.
+    total_instructions: int = 0
+    profile_digest: str = ""
+    executed_functions: Tuple[str, ...] = ()
+    scope_digest: str = ""
+
+
 def _digest(payload: dict) -> str:
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -173,8 +197,9 @@ def loop_footprint_digest(footprint: Sequence[str],
     module_fingerprints`).  Returns ``None`` when a footprint function
     does not exist in that module — the answer cannot be valid there.
 
-    Stored at cache-write time against the producing module, and
-    recomputed at probe time against the *edited* module: equal digests
+    Computed by the worker against the producing module and stored
+    with the answer, then recomputed at probe time against the
+    *edited* module: equal digests
     mean every consulted function (and the globals/structs header) is
     byte-identical, so the cached answer is still the answer.
 

@@ -57,11 +57,10 @@ from ..ir import (
     verify_module,
 )
 from ..obs.trace import TraceSpec, current_tracer
-from .answers import STATUS_COMPUTED, STATUS_FALLBACK, LoopAnswer, \
-    fallback_answer
+from .answers import STATUS_FALLBACK, LoopAnswer, fallback_answer
 from .cache import CacheEntryMeta, FootprintHit, ResultCache
 from .engine import Ticket, WorkEngine, lpt_weight
-from .requests import AnalysisRequest, loop_footprint_digest, \
+from .requests import AnalysisRequest, TrainingRun, loop_footprint_digest, \
     system_module_roster
 from .telemetry import ServiceTelemetry
 from .worker import (
@@ -111,35 +110,26 @@ class _KeyWork:
     """Scheduler-internal state for one deduplicated version key."""
 
     request: AnalysisRequest            # representative request
-    loops: Tuple[str, ...]              # () = every hot hot loop
+    loops: Tuple[str, ...]              # () = every hot loop
     #: Original requests deduplicated into this key; completion
     #: latency is recorded once per unit of demand.
     demand: int = 1
-    hot_loops: Tuple[str, ...] = ()     # known roster, hottest first
-    #: Loop name -> profiled time fraction (LPT ordering + persistence).
-    hot_fractions: Dict[str, float] = field(default_factory=dict)
-    #: Total dynamic instructions of the training run; scales the
-    #: time fractions into cross-module-comparable LPT weights.
-    total_instructions: int = 0
-    profile_digest: str = ""
+    #: The module's training run (roster hottest first, time shares,
+    #: provenance); ``None`` means the roster is unknown and a lead
+    #: task must profile the module.
+    run: Optional[TrainingRun] = None
     answers: Dict[str, LoopAnswer] = field(default_factory=dict)
     degraded: bool = False
-    #: Per-loop consulted-function footprints (from workers or from
-    #: revalidated cache rows), stored next to each answer.
-    footprints: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: Content hashes of the request's module, filled by whichever side
-    #: parsed it first (incremental probe or worker).
-    fingerprints: Dict[str, str] = field(default_factory=dict)
-    header_fingerprint: str = ""
-    #: Functions whose content could have influenced the training run
-    #: (persisted so later probes can prove roster reuse).
-    executed_functions: Tuple[str, ...] = ()
+    #: Loop name -> (footprint, its digest in this key's module), from
+    #: workers or from revalidated cache rows; stored next to each
+    #: answer.
+    footprints: Dict[str, Tuple[Tuple[str, ...], str]] = \
+        field(default_factory=dict)
     #: Cached answers the incremental probe revalidated, held until
     #: the roster is known (see ``BatchScheduler._serve_clean``).
     clean: Dict[str, FootprintHit] = field(default_factory=dict)
-    #: True when at least one revalidated answer was served — the
-    #: full roster is then re-persisted under this (new) version key
-    #: even if nothing needed recomputing.
+    #: True once a worker result or a revalidated answer landed: the
+    #: full roster is then persisted under this version key.
     refreshed: bool = False
     #: Tasks still in flight or queued for this key.
     outstanding: int = 0
@@ -197,8 +187,10 @@ class BatchScheduler:
 
         ``client`` tags this batch's queue tickets so a daemon session
         can be cancelled wholesale; ``on_answer(request, answer)`` is
-        invoked per computed loop as results stream back (the daemon's
-        streaming hook) on the engine's dispatcher thread."""
+        invoked per answer a worker delivers, as results stream back
+        (the daemon's streaming hook), on the engine's dispatcher
+        thread.  Cache hits and revalidated answers do not stream;
+        they are only returned."""
         started = time.perf_counter()
         tel = self.telemetry
         tel.count("requests", len(requests))
@@ -262,11 +254,7 @@ class BatchScheduler:
                 tracer.event("cache_hit", workload=entry.request.name,
                              loops=len(cached))
                 meta = self.cache.meta(key)
-                entry.hot_loops = meta.hot_loops if meta else ()
-                entry.profile_digest = meta.profile_digest if meta else ""
-                if meta is not None:
-                    entry.hot_fractions = dict(meta.hot_fractions)
-                    entry.total_instructions = meta.total_instructions
+                entry.run = meta.run if meta else None
                 entry.answers = {a.loop: a for a in cached}
                 continue
             if self._probe_incremental(entry):
@@ -299,8 +287,9 @@ class BatchScheduler:
                                    workload=entry.request.name):
             return self._probe_incremental_inner(entry, lineage)
 
-    def _reuse_roster(self, entry: _KeyWork,
-                      prior: CacheEntryMeta) -> bool:
+    def _reuse_roster(self, entry: _KeyWork, prior: CacheEntryMeta,
+                      fingerprints: Dict[str, str],
+                      header_fingerprint: str) -> bool:
         """Adopt the workload's prior training run when provable.
 
         The interpreter is deterministic, so the profile is a pure
@@ -311,19 +300,14 @@ class BatchScheduler:
         *would* replay the prior one instruction for instruction.
         Compares the executed-scope digest recomputed from the edited
         module's fingerprints with the stored one; on proof the prior
-        roster, time fractions and profile provenance carry over.
+        training run carries over whole.
         """
-        digest = loop_footprint_digest(prior.executed_functions,
-                                       entry.fingerprints,
-                                       entry.header_fingerprint)
-        if digest is None or digest != prior.profile_scope_digest:
+        run = prior.run
+        digest = loop_footprint_digest(run.executed_functions,
+                                       fingerprints, header_fingerprint)
+        if digest is None or digest != run.scope_digest:
             return False  # edit touches the executed scope: a lead profiles
-        entry.hot_loops = prior.hot_loops
-        entry.hot_fractions = {name: float(frac) for name, frac
-                               in prior.hot_fractions.items()}
-        entry.profile_digest = prior.profile_digest
-        entry.executed_functions = prior.executed_functions
-        entry.total_instructions = prior.total_instructions
+        entry.run = run
         self.telemetry.count("profile_reuses")
         current_tracer().event("profile_reuse",
                                workload=entry.request.name)
@@ -333,7 +317,7 @@ class BatchScheduler:
                                  lineage: str) -> bool:
         request = entry.request
         prior = self.cache.lookup_profile(lineage, request.name)
-        wanted = entry.loops or (prior.hot_loops if prior else ())
+        wanted = entry.loops or (prior.run.hot_loops if prior else ())
         if not wanted:
             return False  # no profiled row of this workload: run cold
         try:
@@ -341,14 +325,15 @@ class BatchScheduler:
             verify_module(module)
         except Exception:
             return False  # unparseable: let the worker report
-        entry.fingerprints = module_content_fingerprints(module)
-        entry.header_fingerprint = module_header_fingerprint(module)
+        fingerprints = module_content_fingerprints(module)
+        header_fingerprint = module_header_fingerprint(module)
         if prior is not None:
-            self._reuse_roster(entry, prior)
+            self._reuse_roster(entry, prior, fingerprints,
+                               header_fingerprint)
         entry.clean = self.cache.lookup_footprints(
-            lineage, request.name, wanted, entry.fingerprints,
-            entry.header_fingerprint)
-        return bool(entry.hot_loops) and not self._serve_clean(entry)
+            lineage, request.name, wanted, fingerprints,
+            header_fingerprint)
+        return entry.run is not None and not self._serve_clean(entry)
 
     def _serve_clean(self, entry: _KeyWork) -> Tuple[str, ...]:
         """Serve the held revalidated answers once the key's roster is
@@ -358,7 +343,7 @@ class BatchScheduler:
         lands.  Returns the wanted hot loops still unanswered.
         """
         tel = self.telemetry
-        roster = entry.hot_loops
+        roster = entry.run.hot_loops
         for name, hit in entry.clean.items():
             if name not in roster:
                 continue  # no longer hot
@@ -366,9 +351,9 @@ class BatchScheduler:
             # are revalidated, but the loop's share of profiled time is
             # refreshed from the (possibly reused) training run.
             entry.answers[name] = replace(
-                hit.answer, time_fraction=entry.hot_fractions.get(
+                hit.answer, time_fraction=entry.run.hot_fractions.get(
                     name, hit.answer.time_fraction))
-            entry.footprints[name] = hit.footprint
+            entry.footprints[name] = (hit.footprint, hit.digest)
             entry.refreshed = True
             tel.count("loops_incremental")
             tel.count("loops_from_cache")
@@ -389,7 +374,8 @@ class BatchScheduler:
         # placeholder 0.0 time share; refresh them from the profiled
         # roster when one landed (delivery and the cache both read
         # these).
-        for name, frac in entry.hot_fractions.items():
+        fractions = entry.run.hot_fractions if entry.run else {}
+        for name, frac in fractions.items():
             answer = entry.answers.get(name)
             if (answer is not None and frac
                     and answer.time_fraction == 0.0):
@@ -402,17 +388,15 @@ class BatchScheduler:
     def _known_loops(self, key: str, entry: _KeyWork
                      ) -> Optional[Tuple[str, ...]]:
         """The loops this key must run, when knowable without a
-        worker: the dirty hot loops of a roster from the incremental
-        probe or a prior meta row, or an explicit loop subset while no
-        revalidated answer waits for a roster.  ``None`` sends a
-        lead."""
-        if not entry.hot_loops and self.cache is not None:
+        worker: the dirty hot loops of a training run from the
+        incremental probe or a prior meta row, or an explicit loop
+        subset while no revalidated answer waits for a roster.
+        ``None`` sends a lead."""
+        if entry.run is None and self.cache is not None:
             meta = self.cache.meta(key)
-            if meta is not None and meta.hot_loops:
-                entry.hot_loops = meta.hot_loops
-                entry.hot_fractions = dict(meta.hot_fractions)
-                entry.total_instructions = meta.total_instructions
-        if entry.hot_loops:
+            if meta is not None:
+                entry.run = meta.run
+        if entry.run is not None:
             return self._serve_clean(entry)
         if entry.loops and not entry.clean:
             # Explicit demand: the worker resolves hot-ness per loop
@@ -427,15 +411,15 @@ class BatchScheduler:
         revalidated answers the key holds.  Loop tasks are LPT-ordered
         by instruction-weighted profiled time fraction."""
         entry = batch.work[key]
-        fraction = entry.hot_fractions.get(loop, 0.0)
-        weight = (0.0 if loop is None
-                  else lpt_weight(fraction, entry.total_instructions))
+        run = entry.run
+        weight = (0.0 if loop is None or run is None
+                  else lpt_weight(run.hot_fractions.get(loop, 0.0),
+                                  run.total_instructions))
 
         def deliver(ticket, outcome, result, error):
             self._queue_deliver(batch, ticket, outcome, result, error)
 
-        task = LoopTask(entry.request, loop, time_fraction=fraction,
-                        trace=batch.trace,
+        task = LoopTask(entry.request, loop, trace=batch.trace,
                         prepared_cache_size=self.prepared_cache_size,
                         skip=tuple(entry.clean))
         return Ticket(task, key=key, weight=weight, deliver=deliver,
@@ -530,19 +514,11 @@ class BatchScheduler:
     def _absorb_task(self, entry: _KeyWork,
                      result: LoopTaskResult) -> None:
         tel = self.telemetry
-        entry.hot_loops = result.hot_loops or entry.hot_loops
-        if result.hot_fractions:
-            entry.hot_fractions = dict(result.hot_fractions)
-        if result.total_instructions:
-            entry.total_instructions = result.total_instructions
-        entry.profile_digest = result.profile_digest or entry.profile_digest
-        entry.fingerprints = result.fingerprints or entry.fingerprints
-        entry.header_fingerprint = (result.header_fingerprint
-                                    or entry.header_fingerprint)
-        if result.executed_functions:
-            entry.executed_functions = result.executed_functions
+        entry.run = result.run
+        entry.refreshed = True
         if result.loop is not None and result.footprint:
-            entry.footprints[result.loop] = result.footprint
+            entry.footprints[result.loop] = (result.footprint,
+                                             result.footprint_digest)
         answer = result.answer
         if answer is not None:
             entry.answers[answer.loop] = answer
@@ -598,42 +574,30 @@ class BatchScheduler:
                         entry.durations)
                 except Exception:
                     pass  # timing rows are best-effort
-            if entry.degraded or not entry.hot_loops:
+            if entry.degraded or entry.run is None:
                 continue  # never persist degraded or unknown results
-            computed = [a for a in entry.answers.values()
-                        if a.status == STATUS_COMPUTED]
-            if not computed and not entry.refreshed:
+            if not entry.refreshed:
                 continue  # pure exact-key hit: nothing new to write
-            if not set(entry.hot_loops) <= set(entry.answers):
+            roster = entry.run.hot_loops
+            if not set(roster) <= set(entry.answers):
                 continue  # partial roster: a later run completes it
-            scope_digest = ""
-            if entry.executed_functions and entry.fingerprints:
-                scope_digest = loop_footprint_digest(
-                    entry.executed_functions, entry.fingerprints,
-                    entry.header_fingerprint) or ""
             self.cache.store(
                 key,
                 workload=entry.request.name,
                 system=entry.request.system,
                 entry=entry.request.entry,
                 modules=system_module_roster(entry.request.system),
-                profile_digest=entry.profile_digest,
-                hot_loops=entry.hot_loops,
-                answers=[entry.answers[name] for name in entry.hot_loops],
+                run=entry.run,
+                answers=[entry.answers[name] for name in roster],
                 lineage_key=entry.request.lineage_key(),
                 footprints=entry.footprints,
-                fingerprints=entry.fingerprints,
-                header_fingerprint=entry.header_fingerprint,
-                hot_fractions=entry.hot_fractions,
-                executed_functions=entry.executed_functions,
-                profile_scope_digest=scope_digest,
-                total_instructions=entry.total_instructions,
             )
 
     def _answers_for(self, request: AnalysisRequest,
                      work: Dict[str, _KeyWork]) -> List[LoopAnswer]:
         entry = work[request.version_key()]
-        roster = entry.hot_loops or tuple(entry.answers)
+        roster = (entry.run.hot_loops if entry.run is not None
+                  else tuple(entry.answers))
         wanted = request.loops or roster
         return [entry.answers[name] for name in wanted
                 if name in entry.answers]

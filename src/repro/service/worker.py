@@ -23,11 +23,10 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis import AnalysisContext
 from ..clients import PDGClient, hot_loops
-from ..interp import cached_compiled_module
 from ..core.framework import (
     DependenceAnalysis,
     build_caf,
@@ -50,7 +49,13 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import TraceSpec, current_tracer, set_tracer
 from ..profiling import run_profilers
 from .answers import LoopAnswer, summarize_pdg
-from .requests import AnalysisRequest, profile_digest, system_profilers
+from .requests import (
+    AnalysisRequest,
+    TrainingRun,
+    loop_footprint_digest,
+    profile_digest,
+    system_profilers,
+)
 
 #: Default capacity of the worker-resident prepared-module LRU.
 DEFAULT_PREPARED_CACHE_SIZE = 4
@@ -68,9 +73,6 @@ class LoopTask:
 
     request: AnalysisRequest
     loop: Optional[str] = None
-    #: The scheduler's LPT estimate (profiled time fraction); carried
-    #: for observability only.
-    time_fraction: float = 0.0
     #: When set, the worker traces this task (its own TraceContext,
     #: serialized back in :attr:`LoopTaskResult.spans`).
     trace: Optional[TraceSpec] = None
@@ -84,31 +86,16 @@ class LoopTask:
 class LoopTaskResult:
     """What a worker streams back for one loop task."""
 
-    version_key: str
-    workload: str
-    system: str
-    entry: str
     loop: Optional[str]                 # None: a lead analyzed nothing
+    #: The module's training run, reported by every task.
+    run: TrainingRun
     answer: Optional[LoopAnswer] = None
-    hot_loops: Tuple[str, ...] = ()
-    hot_fractions: Dict[str, float] = field(default_factory=dict)
-    #: Total dynamic instructions of the training run; scales the
-    #: fractions into cross-module-comparable LPT weights.
-    total_instructions: int = 0
-    profile_digest: str = ""
-    #: Per-function content hashes of the analyzed module, plus the
-    #: globals/structs header hash — what the scheduler stores next to
-    #: each answer so later edited modules can revalidate footprints.
-    fingerprints: Dict[str, str] = field(default_factory=dict)
-    header_fingerprint: str = ""
-    #: Every function whose content could have influenced the training
-    #: run (executed definitions, the entry, all declarations); edits
-    #: provably outside this set reuse the profile without
-    #: re-interpretation.
-    executed_functions: Tuple[str, ...] = ()
     #: Names of the entities the loop's analysis consulted (see
-    #: :func:`loop_footprint`).
+    #: :func:`loop_footprint`), and their digest in the analyzed
+    #: module, which the cache stores so later edited modules can
+    #: revalidate the answer.
     footprint: Tuple[str, ...] = ()
+    footprint_digest: str = ""
     module_evals: int = 0
     orchestrator_queries: int = 0
     #: Task wall time.  Includes setup only when this task populated
@@ -296,40 +283,48 @@ def build_system(name: str, module, context, profiles,
 # -- worker-resident prepared-module cache -----------------------------------
 
 class PreparedModule:
-    """Everything setup produces for one version key, built once."""
+    """Everything setup produces for one version key, built once.
 
-    __slots__ = ("version_key", "module", "context", "profiles", "hot",
-                 "hot_by_name", "system", "client", "fingerprints",
-                 "header_fingerprint", "profile_digest",
-                 "executed_functions", "compiled", "setup_s", "lock")
+    The context also holds the closure-compiled execution artifact the
+    training run left behind (``cached_compiled_module``), so it stays
+    warm exactly as long as this entry.
+    """
+
+    __slots__ = ("module", "context", "profiles", "hot_by_name", "system",
+                 "client", "fingerprints", "header_fingerprint", "run",
+                 "setup_s", "lock")
 
     def __init__(self, request: AnalysisRequest):
         started = time.perf_counter()
         module, context, profiles = prepare_request(request)
-        self.version_key = request.version_key()
         self.module = module
         self.context = context
         self.profiles = profiles
-        # The closure-compiled execution artifact the training run
-        # left on the context (None when the module fell back to the
-        # tree-walker).  Pinned here so it stays warm with the entry:
-        # later re-profiles of this prepared module (e.g. speculative
-        # re-validation) reuse the compiled functions across batches.
-        self.compiled = cached_compiled_module(context)
-        self.hot = hot_loops(profiles)
-        self.hot_by_name = {h.name: h for h in self.hot}
+        hot = hot_loops(profiles)
+        self.hot_by_name = {h.name: h for h in hot}
         self.system = build_system(request.system, module, context,
                                    profiles, request.config)
         self.client = PDGClient(self.system)
         self.fingerprints = module_content_fingerprints(module)
         self.header_fingerprint = module_header_fingerprint(module)
-        self.profile_digest = profile_digest(profiles)
-        self.executed_functions = executed_function_scope(
-            module, profiles, request.entry)
+        executed = executed_function_scope(module, profiles, request.entry)
+        self.run = TrainingRun(
+            hot_loops=tuple(h.name for h in hot),
+            hot_fractions={h.name: h.time_fraction for h in hot},
+            total_instructions=profiles.total_instructions,
+            profile_digest=profile_digest(profiles),
+            executed_functions=executed,
+            scope_digest=self.digest(executed))
         self.setup_s = time.perf_counter() - started
         # Serializes analyses that share this entry (thread executor):
         # the orchestrator and its memo cache are not thread-safe.
         self.lock = threading.Lock()
+
+    def digest(self, footprint: Sequence[str]) -> str:
+        """:func:`loop_footprint_digest` of ``footprint`` in this
+        module ("" when it names an entity the module lacks)."""
+        return loop_footprint_digest(footprint, self.fingerprints,
+                                     self.header_fingerprint) or ""
 
 
 _PREPARED_LOCK = threading.Lock()
@@ -412,33 +407,19 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
     entry, hit, evictions = _prepared_module(request,
                                              task.prepared_cache_size)
     result = LoopTaskResult(
-        version_key=entry.version_key,
-        workload=request.name,
-        system=request.system,
-        entry=request.entry,
         loop=task.loop,
-        hot_loops=tuple(h.name for h in entry.hot),
-        hot_fractions={h.name: h.time_fraction for h in entry.hot},
-        total_instructions=entry.profiles.total_instructions,
-        profile_digest=entry.profile_digest,
+        run=entry.run,
         prepared_hit=hit,
         prepared_evictions=evictions,
         setup_s=0.0 if hit else entry.setup_s,
     )
-    if not hit or task.loop is None:
-        # Fingerprints/scope travel once per populated entry (and on
-        # every lead, which feeds the scheduler's store path);
-        # plain-loop hits skip them to keep pickling light.
-        result.fingerprints = entry.fingerprints
-        result.header_fingerprint = entry.header_fingerprint
-        result.executed_functions = entry.executed_functions
 
     loop = task.loop
     if loop is None:
         # A lead analyzes the hottest wanted loop the scheduler does
         # not already hold.
         loop = result.loop = next(
-            (name for name in request.loops or result.hot_loops
+            (name for name in request.loops or entry.run.hot_loops
              if name in entry.hot_by_name and name not in task.skip),
             None)
     h = entry.hot_by_name.get(loop)
@@ -472,6 +453,7 @@ def _run_loop_task(task: LoopTask) -> LoopTaskResult:
                                  workload=request.name).inc(delta)
         result.module_evals = system.stats.total_module_evals - total_before
         result.orchestrator_queries = system.stats.queries - queries_before
+    result.footprint_digest = entry.digest(result.footprint)
     registry.histogram("loop_latency_s", workload=request.name,
                        system=request.system).record(latency)
     result.answer = summarize_pdg(request.name, request.system, pdg,

@@ -34,6 +34,7 @@ from repro.service import (
     ServiceConfig,
     STATUS_CACHED,
     STATUS_FALLBACK,
+    TrainingRun,
     fallback_answer,
     reset_prepared_cache,
 )
@@ -89,8 +90,9 @@ def _seed_l1(cache: ResultCache, key: str = "vk1",
              lineage: str = "lin1") -> None:
     """One minimal stored entry (no footprints: exact-key only)."""
     cache.store(key, workload="w", system="scaf", entry="main",
-                modules=["w"], profile_digest="pd",
-                hot_loops=["@main:%loop"],
+                modules=["w"],
+                run=TrainingRun(hot_loops=("@main:%loop",),
+                                profile_digest="pd"),
                 answers=[fallback_answer("w", "scaf", "@main:%loop")],
                 lineage_key=lineage)
 
@@ -229,7 +231,7 @@ class TestTieredCache:
         a.close()
         b = TieredCache(ResultCache(str(tmp_path / "b")),
                         backend_from_url(server.url), MetricsRegistry())
-        assert b.meta("vk1").profile_digest == "pd"
+        assert b.meta("vk1").run.profile_digest == "pd"
         assert b.meta("absent") is None
         b.close()
 

@@ -5,7 +5,8 @@ What this file pins:
 - wire protocol round-trips (addresses, frames, requests);
 - daemon answers == in-process batch == sequential orchestrator
   (the correctness gate; all 16 registered workloads when
-  ``REPRO_DAEMON_FULL=1``, synthetic modules otherwise);
+  ``REPRO_DAEMON_FULL=1``, synthetic modules otherwise), and a warm
+  ``repro submit`` lists the cached loops a cold one streamed;
 - worker-resident state survives across submissions (prepared-module
   hits on the second client's batch);
 - admission control: per-session window and global queue depth both
@@ -47,6 +48,7 @@ from repro.service import (
     ServiceConfig,
     STATUS_COMPUTED,
     STATUS_FALLBACK,
+    TrainingRun,
     request_for_workload,
     reset_prepared_cache,
     run_loop_task,
@@ -140,11 +142,7 @@ def hollow_service():
     discovery task reports an empty roster, so a submit costs little
     more than reading its frame."""
     def runner(task):
-        request = task.request
-        return LoopTaskResult(version_key=request.version_key(),
-                              workload=request.name,
-                              system=request.system,
-                              entry=request.entry, loop=task.loop)
+        return LoopTaskResult(loop=task.loop, run=TrainingRun())
 
     svc = DependenceService(ServiceConfig(workers=0, executor="inline"))
     svc.scheduler.close()
@@ -408,6 +406,30 @@ class TestEquality:
         finally:
             daemon.stop()
         assert served == expected
+
+    def test_warm_submit_lists_every_loop(self, tmp_path, capsys):
+        """Cache hits never stream, so a warm ``repro submit`` prints
+        the answers the finished job returned: both loops of
+        129.compress, as on the cold submit."""
+        daemon, addr = start_daemon(
+            tmp_path, service_config=ServiceConfig(
+                workers=0, executor="inline",
+                cache_dir=str(tmp_path / "cache")))
+        try:
+            listed = []
+            for _ in range(2):
+                assert cli_main(["submit", "129.compress", "--system",
+                                 "caf", "--daemon", addr]) == 0
+                listed.append([line for line in
+                               capsys.readouterr().out.splitlines()
+                               if "%NoDep" in line])
+        finally:
+            daemon.stop()
+        cold, warm = listed
+        assert len(cold) == len(warm) == 2
+        assert all(line.endswith("[cached]") for line in warm)
+        assert sorted(line.split(" [")[0] for line in warm) == \
+            sorted(line.split(" [")[0] for line in cold)
 
 
 # -- resident state ----------------------------------------------------------

@@ -179,9 +179,10 @@ class TestEngineSelection:
         request = AnalysisRequest(workload.name,
                                   format_module(workload.build()))
         prepared = PreparedModule(request)
-        assert isinstance(prepared.compiled, CompiledModule)
-        assert cached_compiled_module(prepared.context) \
-            is prepared.compiled
+        compiled = cached_compiled_module(prepared.context)
+        assert isinstance(compiled, CompiledModule)
+        assert compile_module(prepared.module, prepared.context) \
+            is compiled
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def _shared_entry(source, system):
     try:
         lead = run_loop_task(LoopTask(request))
         results = [lead] + [run_loop_task(LoopTask(request, name))
-                            for name in lead.hot_loops
+                            for name in lead.run.hot_loops
                             if name != lead.loop]
     finally:
         reset_prepared_cache()

@@ -25,7 +25,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.analysis import AnalysisContext
 from repro.clients import PDGClient, hot_loops, weighted_no_dep_answers
 from repro.core import OrchestratorConfig
-from repro.ir import parse_module, verify_module
+from repro.ir import (
+    module_content_fingerprints,
+    module_header_fingerprint,
+    parse_module,
+    verify_module,
+)
 from repro.profiling import run_profilers
 from repro.service import (
     AnalysisRequest,
@@ -38,10 +43,12 @@ from repro.service import (
     STATUS_CACHED,
     STATUS_COMPUTED,
     STATUS_FALLBACK,
+    TrainingRun,
     build_system,
     fallback_answer,
     loop_answer_from_dict,
     loop_answer_to_dict,
+    loop_footprint_digest,
     request_for_workload,
     reset_prepared_cache,
     run_loop_task,
@@ -100,6 +107,11 @@ exit:
   ret i32 %r
 }}
 """
+
+
+def run_of(loops) -> TrainingRun:
+    """A training run whose roster is ``loops``."""
+    return TrainingRun(hot_loops=tuple(loops), profile_digest="d")
 
 
 def sequential_answers(request: AnalysisRequest):
@@ -207,7 +219,7 @@ class TestResultCache:
         answers = sequential_answers(request)
         cache.store(key, workload="t", system="caf", entry="main",
                     modules=system_module_roster("caf"),
-                    profile_digest="d", hot_loops=[a.loop for a in answers],
+                    run=run_of([a.loop for a in answers]),
                     answers=answers)
         cached = cache.lookup(key)
         assert cached is not None
@@ -221,8 +233,8 @@ class TestResultCache:
         key = request.version_key()
         answers = sequential_answers(request)
         cache.store(key, workload="t", system="caf", entry="main",
-                    modules=(), profile_digest="d",
-                    hot_loops=[a.loop for a in answers] + ["@main:%ghost"],
+                    modules=(),
+                    run=run_of([a.loop for a in answers] + ["@main:%ghost"]),
                     answers=answers)
         assert cache.lookup(key) is None               # roster incomplete
         assert cache.lookup(key, [answers[0].loop]) is not None
@@ -234,8 +246,7 @@ class TestResultCache:
         answers = sequential_answers(request)
         for key in ("k1", "k2", "k3"):
             cache.store(key, workload="t", system="caf", entry="main",
-                        modules=(), profile_digest="d",
-                        hot_loops=[a.loop for a in answers],
+                        modules=(), run=run_of([a.loop for a in answers]),
                         answers=answers)
         cache.invalidate("k1")
         assert cache.lookup("k1") is None
@@ -253,8 +264,7 @@ class TestResultCache:
         answers = sequential_answers(request)
         stored = answers[0].loop
         cache.store(key, workload="t", system="caf", entry="main",
-                    modules=(), profile_digest="d",
-                    hot_loops=[stored, "@main:%ghost"],
+                    modules=(), run=run_of([stored, "@main:%ghost"]),
                     answers=answers)
         assert cache.lookup(key, [stored]) is not None
         assert cache.lookup(key, [stored, "@main:%ghost"]) is None
@@ -268,8 +278,7 @@ class TestResultCache:
         answers = sequential_answers(request)
         for key in ("k1", "k2", "k3"):
             cache.store(key, workload="t", system="caf", entry="main",
-                        modules=(), profile_digest="d",
-                        hot_loops=[a.loop for a in answers],
+                        modules=(), run=run_of([a.loop for a in answers]),
                         answers=answers)
         assert cache.prune([]) == 3
         assert cache.keys() == []
@@ -284,8 +293,7 @@ class TestResultCache:
         answers = sequential_answers(request)
         for key in ("k1", "k2"):
             cache.store(key, workload="t", system="caf", entry="main",
-                        modules=(), profile_digest="d",
-                        hot_loops=[a.loop for a in answers],
+                        modules=(), run=run_of([a.loop for a in answers]),
                         answers=answers)
         assert cache.prune(["k2", "k2", "never-stored"]) == 1
         assert cache.keys() == ["k2"]
@@ -302,8 +310,7 @@ class TestResultCache:
         answers = sequential_answers(request)
         for key in ("k1", "k2", "k3"):
             cache.store(key, workload="t", system="caf", entry="main",
-                        modules=(), profile_digest="d",
-                        hot_loops=[a.loop for a in answers],
+                        modules=(), run=run_of([a.loop for a in answers]),
                         answers=answers)
         keep = [f"live-{i:04d}" for i in range(1200)] + ["k1", "k3"]
         assert cache.prune(keep) == 1            # only k2 goes
@@ -350,9 +357,8 @@ class TestResultCache:
                 request.lineage_key(), "t", [answer.loop], {}, "") == {}
             # v2 writes work against the migrated tables.
             cache.store("k2", workload="t", system="caf", entry="main",
-                        modules=(), profile_digest="d",
-                        hot_loops=[answer.loop], answers=[answer],
-                        lineage_key=request.lineage_key())
+                        modules=(), run=run_of([answer.loop]),
+                        answers=[answer], lineage_key=request.lineage_key())
             assert cache.has_lineage(request.lineage_key())
 
     def test_footprint_lookup_survives_unrelated_edit(self, tmp_path):
@@ -363,12 +369,11 @@ class TestResultCache:
         request = AnalysisRequest("t", make_source(), system="caf")
         [answer] = sequential_answers(request)
         fingerprints = {"main": "m-hash", "helper": "h-hash"}
+        digest = loop_footprint_digest(("main",), fingerprints, "hdr")
         cache.store(request.version_key(), workload="t", system="caf",
-                    entry="main", modules=(), profile_digest="d",
-                    hot_loops=[answer.loop], answers=[answer],
-                    lineage_key=request.lineage_key(),
-                    footprints={answer.loop: ("main",)},
-                    fingerprints=fingerprints, header_fingerprint="hdr")
+                    entry="main", modules=(), run=run_of([answer.loop]),
+                    answers=[answer], lineage_key=request.lineage_key(),
+                    footprints={answer.loop: (("main",), digest)})
         lineage = request.lineage_key()
 
         hits = cache.lookup_footprints(
@@ -377,6 +382,7 @@ class TestResultCache:
         assert set(hits) == {answer.loop}
         assert hits[answer.loop].answer.status == STATUS_CACHED
         assert hits[answer.loop].footprint == ("main",)
+        assert hits[answer.loop].digest == digest
 
         # Edits inside the footprint, a changed header, or a deleted
         # footprint function all invalidate.
@@ -394,8 +400,7 @@ class TestResultCache:
         answers = sequential_answers(request)
         with ResultCache(str(tmp_path)) as cache:
             cache.store(key, workload="t", system="caf", entry="main",
-                        modules=(), profile_digest="d",
-                        hot_loops=[a.loop for a in answers],
+                        modules=(), run=run_of([a.loop for a in answers]),
                         answers=answers)
         with ResultCache(str(tmp_path)) as cache:
             assert cache.lookup(key) is not None
@@ -409,9 +414,9 @@ def _canned_result(task: LoopTask) -> LoopTaskResult:
     roster; a loop task answers its loop as computed."""
     request = task.request
     result = LoopTaskResult(
-        version_key=request.version_key(), workload=request.name,
-        system=request.system, entry=request.entry, loop=task.loop,
-        hot_loops=request.loops or ("@main:%loop",), busy_s=0.01)
+        loop=task.loop,
+        run=TrainingRun(hot_loops=request.loops or ("@main:%loop",)),
+        busy_s=0.01)
     if task.loop is not None:
         result.answer = replace(
             fallback_answer(request.name, request.system, task.loop),
@@ -667,6 +672,15 @@ entry:
 """
 
 
+#: The smallest program: a training run that finds no hot loop.
+NO_HOT_LOOPS_SOURCE = """
+func @main() -> i32 {
+entry:
+  ret i32 0
+}
+"""
+
+
 def _run_cached(source: str, cache_dir: str, system: str = "scaf"):
     config = ServiceConfig(workers=0, executor="inline",
                            cache_dir=cache_dir)
@@ -713,6 +727,60 @@ class TestIncremental:
         assert all(a.status == STATUS_CACHED for a in third.flat())
         assert third.telemetry.module_evals == 0
         assert third.telemetry.incremental_probes == 0  # exact hit
+
+    def test_program_without_hot_loops_is_profiled_once(self, tmp_path):
+        """An empty roster is a known answer: the first service's lead
+        stores it as a meta row with no answer rows, and the next
+        services' requests are exact-key hits that send no lead."""
+        leads = []
+        for _ in range(3):
+            batch = _run_cached(NO_HOT_LOOPS_SOURCE, str(tmp_path))
+            assert batch.answers == [[]]
+            leads.append(batch.telemetry.discovery_tasks)
+        assert leads == [1, 0, 0]
+        with ResultCache(str(tmp_path)) as cache:
+            [key] = cache.keys()
+            assert cache.meta(key).run.hot_loops == ()
+            assert cache.export_bundle(key)["answers"] == []
+
+    def test_stored_digests_recompute_from_the_stored_module(
+            self, tmp_path):
+        """Every stored digest is the one the key's own module yields:
+        answer rows computed by process workers, rows revalidated after
+        an edit and re-stored under the edit's key, and each meta
+        row's executed-scope digest."""
+        def requests(step):
+            return [AnalysisRequest("two", TWO_LOOP_SOURCE.format(
+                        step=step), system="caf"),
+                    AnalysisRequest("probe", make_source()
+                                    + PROBE_FUNC.format(step=step),
+                                    system="caf")]
+
+        config = ServiceConfig(workers=2, executor="process",
+                               cache_dir=str(tmp_path))
+        sources = {}
+        for step in (1, 2):
+            batch = requests(step)
+            sources.update((r.version_key(), r.source) for r in batch)
+            with DependenceService(config) as service:
+                snap = service.run_batch(batch).telemetry
+        assert snap.loops_incremental >= 2 and snap.loops_computed == 1
+
+        with ResultCache(str(tmp_path)) as cache:
+            keys = cache.keys()
+            assert sorted(keys) == sorted(sources)
+            for key in keys:
+                module = parse_module(sources[key])
+                fingerprints = module_content_fingerprints(module)
+                header = module_header_fingerprint(module)
+                run = cache.meta(key).run
+                assert run.scope_digest == loop_footprint_digest(
+                    run.executed_functions, fingerprints, header)
+                rows = cache.export_bundle(key)["answers"]
+                assert len(rows) == len(run.hot_loops)
+                for row in rows:
+                    assert row["footprint_digest"] == loop_footprint_digest(
+                        json.loads(row["footprint"]), fingerprints, header)
 
 
 # -- scoped footprints: header edits stop invalidating everything ------------
@@ -859,7 +927,7 @@ class TestScopedFootprints:
         request = AnalysisRequest(
             "scoped", SCOPED_LOOPS_SOURCE.format(extra="", iters=60),
             system="scaf")
-        roster = run_loop_task(LoopTask(request)).hot_loops
+        roster = run_loop_task(LoopTask(request)).run.hot_loops
         assert roster
         for loop in roster:
             footprint = run_loop_task(LoopTask(request, loop)).footprint

@@ -502,7 +502,7 @@ class TestLeadTask:
         request = AnalysisRequest("lead", two_loop_source(), system="scaf")
         roster = ("@work2:%loop", "@work1:%loop")   # 80 vs 60 iterations
         first = run_loop_task(LoopTask(request))
-        assert first.hot_loops == roster
+        assert first.run.hot_loops == roster
         assert first.loop == roster[0]
         assert first.answer.loop == roster[0]
         assert first.footprint
@@ -510,7 +510,7 @@ class TestLeadTask:
         assert second.loop == second.answer.loop == roster[1]
         bare = run_loop_task(LoopTask(request, skip=roster))
         assert bare.loop is None and bare.answer is None
-        assert bare.hot_loops == roster
+        assert bare.run.hot_loops == roster
 
 
 # -- traced queue timeline ---------------------------------------------------
