@@ -199,12 +199,12 @@ class TieredCache:
             return self.l1.meta(version_key)
         return None
 
-    def lookup(self, version_key: str,
-               loops: Sequence[str] = ()) -> Optional[List[LoopAnswer]]:
-        answers = self.l1.lookup(version_key, loops)
-        if answers is not None:
+    def lookup(self, version_key: str, loops: Sequence[str] = ()
+               ) -> Optional[Tuple[CacheEntryMeta, List[LoopAnswer]]]:
+        hit = self.l1.lookup(version_key, loops)
+        if hit is not None:
             self._l1_hits.inc()
-            return answers
+            return hit
         self._l1_misses.inc()
         if self._pull_bundle(version_key):
             return self.l1.lookup(version_key, loops)

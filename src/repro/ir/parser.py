@@ -73,53 +73,84 @@ class ParseError(Exception):
         self.line = line
 
 
+#: One match per token.  The blanks and the comment in front of a token
+#: are folded into its match, so skipping them costs no trip through
+#: the Python loop.  ``eof`` and ``bad`` make every position match:
+#: ``finditer`` never steps over text it could not match, and the
+#: folded prefix never backtracks into a comment.  Only ``float``,
+#: ``int`` and ``arrow`` can start with the same character (``float``
+#: must come before ``int``), so the alternatives are ordered by how
+#: often they occur.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>;[^\n]*)
-  | (?P<newline>\n)
-  | (?P<arrow>->)
-  | (?P<float>-?\d+\.\d+(e-?\d+)?)
-  | (?P<int>-?\d+)
-  | (?P<gname>@[A-Za-z_][\w.]*)
-  | (?P<lname>%[A-Za-z_][\w.]*)
-  | (?P<string>"(\\.|[^"\\])*")
-  | (?P<word>[A-Za-z_][\w.]*)
-  | (?P<punct>[{}\[\](),:=*])
-""", re.VERBOSE)
+    [ \t]*(?:;[^\n]*)?
+    (?:
+        (?P<punct>[{}\[\](),:=*])
+      | (?P<word>[A-Za-z_][\w.]*)
+      | (?P<lname>%[A-Za-z_][\w.]*)
+      | (?P<newline>\n)
+      | (?P<float>-?\d+\.\d+(?:e-?\d+)?)
+      | (?P<int>-?\d+)
+      | (?P<gname>@[A-Za-z_][\w.]*)
+      | (?P<arrow>->)
+      | (?P<string>"(?:\\.|[^"\\])*")
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""", re.VERBOSE)
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line")
-
-    def __init__(self, kind: str, text: str, line: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-
-    def __repr__(self) -> str:
-        return f"{self.kind}({self.text!r})"
+#: A token: ``(kind, text, line)``.
+_Token = Tuple[str, str, int]
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """The tokens of ``text``, ending with an ``eof`` token.  A run of
+    line breaks is one ``newline`` token, and none precedes the first
+    token."""
     tokens: List[_Token] = []
+    append = tokens.append
     line = 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line)
-        pos = m.end()
+    after_newline = True
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "newline":
+            if not after_newline:
+                append(("newline", "\n", line))
+                after_newline = True
             line += 1
-            if tokens and tokens[-1].kind != "newline":
-                tokens.append(_Token("newline", "\n", line - 1))
-            continue
-        if kind in ("ws", "comment"):
-            continue
-        tokens.append(_Token(kind, m.group(), line))
-    tokens.append(_Token("eof", "", line))
+        elif kind == "eof":
+            break
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", line)
+        else:
+            append((kind, m[kind], line))
+            after_newline = False
+    append(("eof", "", line))
     return tokens
+
+
+#: Every canonically spelled word type.  Parses share them: types
+#: compare structurally, and nothing mutates one.
+_WORD_TYPES: Dict[str, Type] = {
+    "void": VOID,
+    "f32": FloatType(32),
+    "f64": FloatType(64),
+    **{f"i{bits}": IntType(bits) for bits in range(1, 65)},
+}
+_INT_TYPE_RE = re.compile(r"i(\d+)")
+_FLOAT_TYPE_RE = re.compile(r"f(\d+)")
+#: A word an operand may start with as a redundant type annotation.
+_ANNOTATION_RE = re.compile(r"(i|f)\d+")
+
+
+def _word_type(text: str, line: int) -> Type:
+    """A word type spelled otherwise than in ``_WORD_TYPES`` (``i032``),
+    or an error."""
+    m = _INT_TYPE_RE.fullmatch(text)
+    if m:
+        return IntType(int(m.group(1)))
+    m = _FLOAT_TYPE_RE.fullmatch(text)
+    if m:
+        return FloatType(int(m.group(1)))
+    raise ParseError(f"unknown type {text!r}", line)
 
 
 class _Placeholder(Value):
@@ -129,85 +160,87 @@ class _Placeholder(Value):
 
 
 class Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token stream.
+
+    ``self.pos`` indexes the current token.  Nothing advances past the
+    final ``eof`` token: every advance follows a check that the current
+    token has another kind.
+    """
 
     def __init__(self, text: str, name: str = "module"):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.module = Module(name)
+        #: The current function's blocks by name (see ``_prescan_labels``).
+        self.blocks: Dict[str, BasicBlock] = {}
 
     # -- token plumbing --------------------------------------------------
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+        self.pos += 1
         return tok
 
     def skip_newlines(self) -> None:
-        while self.current.kind == "newline":
-            self.advance()
+        tokens = self.tokens
+        while tokens[self.pos][0] == "newline":
+            self.pos += 1
 
     def expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.current
-        if tok.kind != kind or (text is not None and tok.text != text):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
             want = text if text is not None else kind
-            raise ParseError(f"expected {want!r}, got {tok.text!r}", tok.line)
-        return self.advance()
+            raise ParseError(f"expected {want!r}, got {tok[1]!r}", tok[2])
+        self.pos += 1
+        return tok
 
-    def accept(self, kind: str, text: Optional[str] = None) -> Optional[_Token]:
-        tok = self.current
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
+    def accept(self, kind: str, text: Optional[str] = None
+               ) -> Optional[_Token]:
+        tok = self.tokens[self.pos]
+        if tok[0] == kind and (text is None or tok[1] == text):
+            self.pos += 1
+            return tok
         return None
 
+    def at(self, kind: str, text: str) -> bool:
+        tok = self.tokens[self.pos]
+        return tok[0] == kind and tok[1] == text
+
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.current.line)
+        return ParseError(message, self.tokens[self.pos][2])
 
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        tok = self.current
-        if tok.kind == "word":
-            base = self._parse_base_word_type()
-        elif tok.kind == "lname":
-            self.advance()
-            name = tok.text[1:]
+        tokens = self.tokens
+        kind, text, line = tokens[self.pos]
+        if kind == "word":
+            self.pos += 1
+            base = _WORD_TYPES.get(text)
+            if base is None:
+                base = _word_type(text, line)
+        elif kind == "lname":
+            self.pos += 1
+            name = text[1:]
             if name not in self.module.structs:
                 # Forward-declared struct (for recursive types).
                 self.module.add_struct(name)
             base = self.module.structs[name]
-        elif tok.kind == "punct" and tok.text == "[":
+        elif kind == "punct" and text == "[":
             base = self._parse_array_type()
         else:
-            raise self.error(f"expected a type, got {tok.text!r}")
-        while self.accept("punct", "*"):
+            raise self.error(f"expected a type, got {text!r}")
+        while tokens[self.pos][1] == "*":  # only a punct token reads "*"
+            self.pos += 1
             base = PointerType(base)
         return base
 
-    def _parse_base_word_type(self) -> Type:
-        tok = self.expect("word")
-        text = tok.text
-        if text == "void":
-            return VOID
-        m = re.fullmatch(r"i(\d+)", text)
-        if m:
-            return IntType(int(m.group(1)))
-        m = re.fullmatch(r"f(\d+)", text)
-        if m:
-            return FloatType(int(m.group(1)))
-        raise ParseError(f"unknown type {text!r}", tok.line)
-
     def _parse_array_type(self) -> Type:
         self.expect("punct", "[")
-        count = int(self.expect("int").text)
-        x = self.expect("word")
-        if x.text != "x":
-            raise ParseError("expected 'x' in array type", x.line)
+        count = int(self.expect("int")[1])
+        _, x, line = self.expect("word")
+        if x != "x":
+            raise ParseError("expected 'x' in array type", line)
         elem = self.parse_type()
         self.expect("punct", "]")
         return ArrayType(elem, count)
@@ -216,26 +249,26 @@ class Parser:
 
     def parse_module(self) -> Module:
         self.skip_newlines()
-        while self.current.kind != "eof":
-            tok = self.current
-            if tok.kind != "word":
-                raise self.error(f"unexpected {tok.text!r} at top level")
-            if tok.text == "struct":
+        while self.tokens[self.pos][0] != "eof":
+            kind, text, _ = self.tokens[self.pos]
+            if kind != "word":
+                raise self.error(f"unexpected {text!r} at top level")
+            if text == "struct":
                 self._parse_struct()
-            elif tok.text in ("global", "const"):
+            elif text in ("global", "const"):
                 self._parse_global()
-            elif tok.text == "declare":
+            elif text == "declare":
                 self._parse_declare()
-            elif tok.text == "func":
+            elif text == "func":
                 self._parse_function()
             else:
-                raise self.error(f"unexpected {tok.text!r} at top level")
+                raise self.error(f"unexpected {text!r} at top level")
             self.skip_newlines()
         return self.module
 
     def _parse_struct(self) -> None:
         self.expect("word", "struct")
-        name = self.expect("lname").text[1:]
+        name = self.expect("lname")[1][1:]
         self.expect("punct", "{")
         fields = [self.parse_type()]
         while self.accept("punct", ","):
@@ -249,7 +282,7 @@ class Parser:
     def _parse_global(self) -> None:
         is_constant = bool(self.accept("word", "const"))
         self.expect("word", "global")
-        name = self.expect("gname").text[1:]
+        name = self.expect("gname")[1][1:]
         self.expect("punct", ":")
         ty = self.parse_type()
         self.expect("punct", "=")
@@ -257,22 +290,22 @@ class Parser:
         self.module.add_global(name, ty, init, is_constant)
 
     def _parse_initializer(self):
-        tok = self.current
-        if tok.kind == "word" and tok.text == "zeroinit":
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "word" and text == "zeroinit":
             self.advance()
             return None
-        if tok.kind == "int":
-            return int(self.advance().text)
-        if tok.kind == "float":
-            return float(self.advance().text)
-        if tok.kind == "string":
-            raw = self.advance().text[1:-1]
+        if kind == "int":
+            return int(self.advance()[1])
+        if kind == "float":
+            return float(self.advance()[1])
+        if kind == "string":
+            raw = self.advance()[1][1:-1]
             return raw.replace('\\"', '"').replace("\\\\", "\\")
-        if tok.kind == "punct" and tok.text == "[":
+        if kind == "punct" and text == "[":
             self.advance()
             self.skip_newlines()
             values = []
-            if not (self.current.kind == "punct" and self.current.text == "]"):
+            if not self.at("punct", "]"):
                 values.append(self._parse_number())
                 self.skip_newlines()
                 while self.accept("punct", ","):
@@ -281,26 +314,27 @@ class Parser:
                     self.skip_newlines()
             self.expect("punct", "]")
             return values
-        raise self.error(f"bad initializer {tok.text!r}")
+        raise self.error(f"bad initializer {text!r}")
 
     def _parse_number(self):
-        tok = self.current
-        if tok.kind == "int":
-            return int(self.advance().text)
-        if tok.kind == "float":
-            return float(self.advance().text)
-        raise self.error(f"expected number, got {tok.text!r}")
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "int":
+            return int(self.advance()[1])
+        if kind == "float":
+            return float(self.advance()[1])
+        raise self.error(f"expected number, got {text!r}")
 
     def _parse_signature(self) -> Tuple[str, FunctionType, List[str]]:
-        name = self.expect("gname").text[1:]
+        name = self.expect("gname")[1][1:]
         self.expect("punct", "(")
         param_types: List[Type] = []
         param_names: List[str] = []
-        if not (self.current.kind == "punct" and self.current.text == ")"):
+        if not self.at("punct", ")"):
             while True:
                 param_types.append(self.parse_type())
                 nm = self.accept("lname")
-                param_names.append(nm.text[1:] if nm else f"arg{len(param_names)}")
+                param_names.append(nm[1][1:] if nm
+                                   else f"arg{len(param_names)}")
                 if not self.accept("punct", ","):
                     break
         self.expect("punct", ")")
@@ -313,8 +347,8 @@ class Parser:
         name, fty, _ = self._parse_signature()
         fn = self.module.add_function(name, fty)
         if self.accept("punct", "["):
-            while self.current.kind == "word":
-                fn.attributes.add(self.advance().text)
+            while self.tokens[self.pos][0] == "word":
+                fn.attributes.add(self.advance()[1])
             self.expect("punct", "]")
 
     # -- function bodies -----------------------------------------------------
@@ -332,76 +366,79 @@ class Parser:
         locals_: Dict[str, Value] = {f"%{a.name}": a for a in fn.args}
         placeholders: Dict[str, _Placeholder] = {}
         block: Optional[BasicBlock] = None
+        tokens = self.tokens
 
-        while not (self.current.kind == "punct" and self.current.text == "}"):
-            tok = self.current
-            if tok.kind in ("word", "lname") and self._peek_is_label():
-                label = self.advance().text
-                label = label[1:] if label.startswith("%") else label
-                self.expect("punct", ":")
-                block = fn.get_block(label)
+        while not self.at("punct", "}"):
+            kind, text, _ = tokens[self.pos]
+            if kind in ("word", "lname") and tokens[self.pos + 1][1] == ":" \
+                    and tokens[self.pos + 1][0] == "punct":
+                self.pos += 2
+                block = self._block(fn, text[1:] if kind == "lname"
+                                    else text)
             else:
                 if block is None:
                     raise self.error("instruction before first block label")
-                inst = self._parse_instruction(fn, block, locals_, placeholders)
+                inst = self._parse_instruction(fn, block, locals_,
+                                               placeholders)
                 if inst.name:
-                    key = f"%{inst.name}"
-                    locals_[key] = inst
+                    locals_[f"%{inst.name}"] = inst
             self.skip_newlines()
-        self.expect("punct", "}")
+        self.pos += 1
 
         self._resolve_placeholders(fn, locals_, placeholders)
 
     def _prescan_labels(self, fn: Function) -> None:
-        """Scan ahead to create every basic block named by a label."""
+        """Create every basic block named by a label of the function
+        body that starts at the current token, and index them by name
+        in ``self.blocks`` (the first block of a name wins, as in
+        ``Function.get_block``)."""
+        tokens = self.tokens
+        blocks = self.blocks = {}
         depth = 0
-        i = self.pos
-        while i < len(self.tokens):
-            tok = self.tokens[i]
-            if tok.kind == "punct" and tok.text == "{":
-                depth += 1
-            elif tok.kind == "punct" and tok.text == "}":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif (
-                tok.kind in ("word", "lname")
-                and i + 1 < len(self.tokens)
-                and self.tokens[i + 1].kind == "punct"
-                and self.tokens[i + 1].text == ":"
-                and (i == 0 or self.tokens[i - 1].kind in ("newline",))
-            ):
-                label = tok.text[1:] if tok.text.startswith("%") else tok.text
-                fn.add_block(label)
-            i += 1
+        for i in range(self.pos, len(tokens)):
+            kind, text, _ = tokens[i]
+            if kind == "punct":
+                if text == "{":
+                    depth += 1
+                elif text == "}":
+                    if depth == 0:
+                        break
+                    depth -= 1
+            elif kind == "word" or kind == "lname":
+                colon = tokens[i + 1]
+                if colon[1] == ":" and colon[0] == "punct" \
+                        and tokens[i - 1][0] == "newline":
+                    bb = fn.add_block(text[1:] if kind == "lname" else text)
+                    blocks.setdefault(bb.name, bb)
 
-    def _peek_is_label(self) -> bool:
-        nxt = self.tokens[self.pos + 1]
-        return nxt.kind == "punct" and nxt.text == ":"
+    def _block(self, fn: Function, name: str) -> BasicBlock:
+        block = self.blocks.get(name)
+        return block if block is not None else fn.get_block(name)
 
     def _resolve_placeholders(self, fn: Function, locals_: Dict[str, Value],
                               placeholders: Dict[str, _Placeholder]) -> None:
+        """Replace every forward reference, in one pass over the
+        function's instructions."""
+        if not placeholders:
+            return
+        targets: Dict[_Placeholder, Value] = {}
         for key, ph in placeholders.items():
             target = locals_.get(key)
             if target is None:
                 raise ParseError(f"undefined value {key} in @{fn.name}", 0)
-            for inst in fn.instructions():
-                inst.replace_operand(ph, target)
-                if isinstance(inst, PhiInst):
-                    inst.incoming = [
-                        (target if v is ph else v, bb)
-                        for v, bb in inst.incoming
-                    ]
+            targets[ph] = target
+        for inst in fn.instructions():
+            operands = inst.operands
+            for i, op in enumerate(operands):
+                if type(op) is _Placeholder:
+                    operands[i] = targets[op]
+            if isinstance(inst, PhiInst):
+                inst.incoming = [
+                    (targets[v] if type(v) is _Placeholder else v, bb)
+                    for v, bb in inst.incoming
+                ]
 
     # -- operands --------------------------------------------------------------
-
-    def _lookup(self, key: str, ty: Type, locals_: Dict[str, Value],
-                placeholders: Dict[str, _Placeholder]) -> Value:
-        if key in locals_:
-            return locals_[key]
-        if key not in placeholders:
-            placeholders[key] = _Placeholder(ty, key[1:])
-        return placeholders[key]
 
     def _parse_operand(self, ty: Type, locals_: Dict[str, Value],
                        placeholders: Dict[str, _Placeholder]) -> Value:
@@ -410,38 +447,43 @@ class Parser:
         A redundant leading type annotation (``i64 %x`` where the type
         is already implied) is tolerated and skipped.
         """
-        tok = self.current
-        if tok.kind == "word" and re.fullmatch(r"(i|f)\d+", tok.text):
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "word" and _ANNOTATION_RE.fullmatch(text):
             ty = self.parse_type()
-            tok = self.current
-        if tok.kind == "int":
-            self.advance()
+            kind, text, _ = self.tokens[self.pos]
+        if kind == "lname":
+            self.pos += 1
+            value = locals_.get(text)
+            if value is None:
+                value = placeholders.get(text)
+                if value is None:
+                    value = placeholders[text] = _Placeholder(ty, text[1:])
+            return value
+        if kind == "int":
+            self.pos += 1
             if isinstance(ty, FloatType):
-                return Constant(ty, float(tok.text))
-            return Constant(ty, int(tok.text))
-        if tok.kind == "float":
-            self.advance()
-            return Constant(ty, float(tok.text))
-        if tok.kind == "word" and tok.text == "null":
-            self.advance()
+                return Constant(ty, float(text))
+            return Constant(ty, int(text))
+        if kind == "float":
+            self.pos += 1
+            return Constant(ty, float(text))
+        if kind == "word" and text == "null":
+            self.pos += 1
             if not isinstance(ty, PointerType):
                 raise self.error("null requires a pointer type")
             return NullPointer(ty)
-        if tok.kind == "word" and tok.text == "undef":
-            self.advance()
+        if kind == "word" and text == "undef":
+            self.pos += 1
             return UndefValue(ty, "")
-        if tok.kind == "lname":
-            self.advance()
-            return self._lookup(tok.text, ty, locals_, placeholders)
-        if tok.kind == "gname":
-            self.advance()
-            name = tok.text[1:]
+        if kind == "gname":
+            self.pos += 1
+            name = text[1:]
             if name in self.module.globals:
                 return self.module.globals[name]
             if name in self.module.functions:
                 return self.module.functions[name]
-            raise self.error(f"unknown global {tok.text}")
-        raise self.error(f"expected operand, got {tok.text!r}")
+            raise self.error(f"unknown global {text}")
+        raise self.error(f"expected operand, got {text!r}")
 
     def _parse_typed_operand(self, locals_: Dict[str, Value],
                              placeholders: Dict[str, _Placeholder]) -> Value:
@@ -449,8 +491,7 @@ class Parser:
         return self._parse_operand(ty, locals_, placeholders)
 
     def _parse_block_ref(self, fn: Function) -> BasicBlock:
-        tok = self.expect("lname")
-        return fn.get_block(tok.text[1:])
+        return self._block(fn, self.expect("lname")[1][1:])
 
     # -- instructions -------------------------------------------------------------
 
@@ -458,11 +499,10 @@ class Parser:
                            locals_: Dict[str, Value],
                            placeholders: Dict[str, _Placeholder]) -> Instruction:
         name = ""
-        if self.current.kind == "lname":
-            name = self.advance().text[1:]
+        if self.tokens[self.pos][0] == "lname":
+            name = self.advance()[1][1:]
             self.expect("punct", "=")
-        op_tok = self.expect("word")
-        op = op_tok.text
+        _, op, op_line = self.expect("word")
 
         inst: Instruction
         if op == "alloca":
@@ -486,13 +526,13 @@ class Parser:
             rhs = self._parse_operand(lhs.type, locals_, placeholders)
             inst = BinaryInst(op, lhs, rhs)
         elif op == "icmp":
-            pred = self.expect("word").text
+            pred = self.expect("word")[1]
             lhs = self._parse_typed_operand(locals_, placeholders)
             self.expect("punct", ",")
             rhs = self._parse_operand(lhs.type, locals_, placeholders)
             inst = ICmpInst(pred, lhs, rhs)
         elif op == "fcmp":
-            pred = self.expect("word").text
+            pred = self.expect("word")[1]
             lhs = self._parse_typed_operand(locals_, placeholders)
             self.expect("punct", ",")
             rhs = self._parse_operand(lhs.type, locals_, placeholders)
@@ -523,16 +563,16 @@ class Parser:
             default = self._parse_block_ref(fn)
             cases = []
             self.expect("punct", "[")
-            while self.current.kind == "int":
-                v = int(self.advance().text)
+            while self.tokens[self.pos][0] == "int":
+                v = int(self.advance()[1])
                 self.expect("punct", ":")
                 cases.append((v, self._parse_block_ref(fn)))
                 self.accept("punct", ",")
             self.expect("punct", "]")
             inst = SwitchInst(value, default, cases)
         elif op == "ret":
-            if self.current.kind in ("newline", "eof") or (
-                    self.current.kind == "punct" and self.current.text == "}"):
+            kind, text, _ = self.tokens[self.pos]
+            if kind in ("newline", "eof") or (kind == "punct" and text == "}"):
                 inst = ReturnInst()
             else:
                 inst = ReturnInst(self._parse_typed_operand(locals_, placeholders))
@@ -549,22 +589,22 @@ class Parser:
                 inst.add_incoming(value, bb)
                 self.accept("punct", ",")
         elif op == "call":
-            callee_tok = self.expect("gname")
-            callee_name = callee_tok.text[1:]
+            _, callee_text, callee_line = self.expect("gname")
+            callee_name = callee_text[1:]
             if callee_name not in self.module.functions:
                 raise ParseError(f"unknown function @{callee_name}",
-                                 callee_tok.line)
+                                 callee_line)
             callee = self.module.functions[callee_name]
             self.expect("punct", "(")
             args = []
-            if not (self.current.kind == "punct" and self.current.text == ")"):
+            if not self.at("punct", ")"):
                 args.append(self._parse_typed_operand(locals_, placeholders))
                 while self.accept("punct", ","):
                     args.append(self._parse_typed_operand(locals_, placeholders))
             self.expect("punct", ")")
             inst = CallInst(callee, args)
         else:
-            raise ParseError(f"unknown instruction {op!r}", op_tok.line)
+            raise ParseError(f"unknown instruction {op!r}", op_line)
 
         if name:
             inst.name = name

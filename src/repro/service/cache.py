@@ -166,6 +166,9 @@ class FootprintHit:
     #: The stored footprint digest, which the revalidation proved
     #: equal to the one computed on the edited module.
     digest: str
+    #: The row's payload text, which ``answer`` was decoded from.
+    #: Re-storing the answer unchanged copies it (``ResultCache.store``).
+    payload: str
 
 
 class ResultCache:
@@ -293,14 +296,15 @@ class ResultCache:
             return None
         return self._meta_from_row(row)
 
-    def lookup(self, version_key: str,
-               loops: Sequence[str] = ()) -> Optional[List[LoopAnswer]]:
-        """All cached answers for a key, or ``None`` on a miss.
+    def lookup(self, version_key: str, loops: Sequence[str] = ()
+               ) -> Optional[Tuple[CacheEntryMeta, List[LoopAnswer]]]:
+        """A key's meta row and cached answers, or ``None`` on a miss.
 
         A hit requires the meta row *and* an answer row for every
         requested loop (every hot loop when ``loops`` is empty) — a
         partially-populated key counts as a miss so callers recompute
-        rather than serve holes.
+        rather than serve holes.  The meta row comes back with the
+        answers, so a hit reads it once.
         """
         meta = self.meta(version_key)
         if meta is None:
@@ -316,16 +320,19 @@ class ResultCache:
             doc = json.loads(rows[name])
             doc["status"] = STATUS_CACHED
             answers.append(loop_answer_from_dict(doc))
-        return answers
+        return meta, answers
 
     def has_lineage(self, lineage_key: str) -> bool:
         """Cheap precheck: does any row share this request family?
-        (Lets a cold cache skip the incremental probe entirely.)"""
+        (Lets a cold cache skip the incremental probe entirely.)  A
+        meta row counts: a program with no hot loops stores no answer
+        row, yet its empty roster can be reused."""
         if not lineage_key:
             return False
         row = self._with_retry(lambda: self._conn.execute(
-            "SELECT 1 FROM answers WHERE lineage_key = ? LIMIT 1",
-            (lineage_key,)).fetchone())
+            "SELECT 1 FROM answers WHERE lineage_key = ?"
+            " UNION ALL SELECT 1 FROM meta WHERE lineage_key = ?"
+            " LIMIT 1", (lineage_key, lineage_key)).fetchone())
         return row is not None
 
     def lookup_footprints(self, lineage_key: str, workload: str,
@@ -336,13 +343,15 @@ class ResultCache:
         """Loop answers of ``workload`` from this lineage that survive
         an edit.
 
-        For each requested loop, scans the rows stored under
-        ``lineage_key`` (any module version) by the same workload and
-        re-derives their footprint digests from the *current* module's
-        ``fingerprints``.  A row whose recomputed digest equals its
-        stored digest was produced from byte-identical consulted code —
-        the answer is returned (freshest row wins).  Loops with no
-        surviving row are simply absent from the result: they must be
+        For each requested loop, walks the rows stored under
+        ``lineage_key`` (any module version) by the same workload,
+        newest first, and re-derives their footprint digests from the
+        *current* module's ``fingerprints``.  A row whose recomputed
+        digest equals its stored digest was produced from
+        byte-identical consulted code; the first such row is the
+        loop's answer (on equal ``stored_at``, the lowest rowid), and
+        only its payload is read and decoded.  Loops with no surviving
+        row are simply absent from the result: they must be
         recomputed.  As in :meth:`lookup_profile`, a lineage is one
         program's edit history: another program's row is never reused,
         since it would be served under that program's name.
@@ -352,34 +361,41 @@ class ResultCache:
             return {}
         placeholders = ",".join("?" * len(wanted))
         rows = self._with_retry(lambda: self._conn.execute(
-            "SELECT a.loop_name, a.footprint, a.footprint_digest,"
-            " a.payload, a.stored_at FROM answers AS a"
+            "SELECT a.rowid, a.loop_name, a.footprint, a.footprint_digest"
+            " FROM answers AS a"
             " JOIN meta AS m ON m.version_key = a.version_key"
             " WHERE a.lineage_key = ? AND m.workload = ?"
-            f" AND a.loop_name IN ({placeholders})",
+            f" AND a.loop_name IN ({placeholders})"
+            # An empty digest marks a legacy or degraded row, which is
+            # never incrementally valid.
+            " AND a.footprint_digest != ''"
+            " ORDER BY a.stored_at DESC, a.rowid",
             (lineage_key, workload, *wanted)).fetchall())
-        best: Dict[str, Tuple[float, FootprintHit]] = {}
-        for loop_name, footprint_json, stored_digest, payload, stored_at \
-                in rows:
-            if not stored_digest:
-                continue  # legacy/degraded row: never incrementally valid
+        chosen: Dict[str, Tuple[int, Tuple[str, ...], str]] = {}
+        for rowid, loop_name, footprint_json, stored_digest in rows:
+            if loop_name in chosen:
+                continue  # a fresher row already survived
             footprint = tuple(json.loads(footprint_json))
             digest = loop_footprint_digest(footprint, fingerprints,
                                            header_fingerprint)
-            if digest != stored_digest:
-                continue  # some consulted function changed: stale
-            prior = best.get(loop_name)
-            if prior is not None and prior[0] >= stored_at:
-                continue
+            if digest == stored_digest:
+                chosen[loop_name] = (rowid, footprint, stored_digest)
+        if not chosen:
+            return {}
+        rowids = [rowid for rowid, _, _ in chosen.values()]
+        payloads = dict(self._with_retry(lambda: self._conn.execute(
+            "SELECT rowid, payload FROM answers"
+            f" WHERE rowid IN ({','.join('?' * len(rowids))})",
+            rowids).fetchall()))
+        hits = {}
+        for loop_name, (rowid, footprint, digest) in chosen.items():
+            payload = payloads[rowid]
             doc = json.loads(payload)
             doc["status"] = STATUS_CACHED
-            best[loop_name] = (stored_at, FootprintHit(
-                loop=loop_name,
-                answer=loop_answer_from_dict(doc),
-                footprint=footprint,
-                digest=stored_digest,
-            ))
-        return {name: hit for name, (_, hit) in best.items()}
+            hits[loop_name] = FootprintHit(
+                loop=loop_name, answer=loop_answer_from_dict(doc),
+                footprint=footprint, digest=digest, payload=payload)
+        return hits
 
     # -- mutation ------------------------------------------------------------
 
@@ -387,7 +403,8 @@ class ResultCache:
               entry: str, modules: Sequence[str], run: TrainingRun,
               answers: Sequence[LoopAnswer],
               lineage_key: str = "",
-              footprints: Mapping[str, Tuple[Sequence[str], str]] = {}
+              footprints: Mapping[str, Tuple[Sequence[str], str]] = {},
+              payloads: Mapping[str, str] = {}
               ) -> None:
         """Insert or refresh one version key's results atomically.
 
@@ -396,20 +413,27 @@ class ResultCache:
         the producing module, which future incremental probes compare
         against.  Loops without a footprint (degraded paths, legacy
         callers) store an empty digest and only ever serve exact-key
-        lookups.
+        lookups.  ``payloads`` maps loop name to the stored payload
+        text of an answer re-stored unchanged (a revalidated row, see
+        :class:`FootprintHit`): that text is copied instead of the
+        answer being encoded again.
         """
         now = time.time()
         rows = []
         for a in answers:
             footprint, digest = footprints.get(a.loop, ((), ""))
-            doc = loop_answer_to_dict(a)
-            if doc["status"] == STATUS_CACHED:
-                # Re-persisting a served answer under a fresh version
-                # key: the payload represents a computed result.
-                doc["status"] = STATUS_COMPUTED
+            payload = payloads.get(a.loop)
+            if payload is None:
+                doc = loop_answer_to_dict(a)
+                if doc["status"] == STATUS_CACHED:
+                    # Re-persisting a served answer under a fresh
+                    # version key: the payload represents a computed
+                    # result.
+                    doc["status"] = STATUS_COMPUTED
+                payload = json.dumps(doc, sort_keys=True)
             rows.append((version_key, a.loop, lineage_key,
                          json.dumps(list(footprint)), digest, now,
-                         json.dumps(doc, sort_keys=True)))
+                         payload))
         meta_row = (version_key, lineage_key, workload, system, entry,
                     json.dumps(list(modules)), run.profile_digest,
                     json.dumps(list(run.hot_loops)), now,

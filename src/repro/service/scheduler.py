@@ -128,8 +128,12 @@ class _KeyWork:
     #: Cached answers the incremental probe revalidated, held until
     #: the roster is known (see ``BatchScheduler._serve_clean``).
     clean: Dict[str, FootprintHit] = field(default_factory=dict)
-    #: True once a worker result or a revalidated answer landed: the
-    #: full roster is then persisted under this version key.
+    #: The held answers served as they were read; storing one copies
+    #: its row's payload text instead of encoding it again.
+    served: Dict[str, FootprintHit] = field(default_factory=dict)
+    #: True once a worker result, a revalidated answer or a reused
+    #: training run landed: the full roster is then persisted under
+    #: this version key.
     refreshed: bool = False
     #: Tasks still in flight or queued for this key.
     outstanding: int = 0
@@ -247,14 +251,14 @@ class BatchScheduler:
             if self.cache is None:
                 pending.append(key)
                 continue
-            cached = self.cache.lookup(key, entry.loops)
-            if cached is not None:
+            hit = self.cache.lookup(key, entry.loops)
+            if hit is not None:
+                meta, cached = hit
                 self.telemetry.count("cache_hits")
                 self.telemetry.count("loops_from_cache", len(cached))
                 tracer.event("cache_hit", workload=entry.request.name,
                              loops=len(cached))
-                meta = self.cache.meta(key)
-                entry.run = meta.run if meta else None
+                entry.run = meta.run
                 entry.answers = {a.loop: a for a in cached}
                 continue
             if self._probe_incremental(entry):
@@ -300,7 +304,8 @@ class BatchScheduler:
         *would* replay the prior one instruction for instruction.
         Compares the executed-scope digest recomputed from the edited
         module's fingerprints with the stored one; on proof the prior
-        training run carries over whole.
+        training run carries over whole, and is stored under the new
+        key even when its roster is empty.
         """
         run = prior.run
         digest = loop_footprint_digest(run.executed_functions,
@@ -308,6 +313,7 @@ class BatchScheduler:
         if digest is None or digest != run.scope_digest:
             return False  # edit touches the executed scope: a lead profiles
         entry.run = run
+        entry.refreshed = True
         self.telemetry.count("profile_reuses")
         current_tracer().event("profile_reuse",
                                workload=entry.request.name)
@@ -317,9 +323,9 @@ class BatchScheduler:
                                  lineage: str) -> bool:
         request = entry.request
         prior = self.cache.lookup_profile(lineage, request.name)
-        wanted = entry.loops or (prior.run.hot_loops if prior else ())
-        if not wanted:
+        if prior is None and not entry.loops:
             return False  # no profiled row of this workload: run cold
+        wanted = entry.loops or prior.run.hot_loops
         try:
             module = parse_module(request.source, name=request.name)
             verify_module(module)
@@ -350,9 +356,14 @@ class BatchScheduler:
             # The cached answer predates the edit; its dependence facts
             # are revalidated, but the loop's share of profiled time is
             # refreshed from the (possibly reused) training run.
-            entry.answers[name] = replace(
-                hit.answer, time_fraction=entry.run.hot_fractions.get(
-                    name, hit.answer.time_fraction))
+            fraction = entry.run.hot_fractions.get(
+                name, hit.answer.time_fraction)
+            if fraction == hit.answer.time_fraction:
+                entry.answers[name] = hit.answer
+                entry.served[name] = hit
+            else:
+                entry.answers[name] = replace(hit.answer,
+                                              time_fraction=fraction)
             entry.footprints[name] = (hit.footprint, hit.digest)
             entry.refreshed = True
             tel.count("loops_incremental")
@@ -581,6 +592,11 @@ class BatchScheduler:
             roster = entry.run.hot_loops
             if not set(roster) <= set(entry.answers):
                 continue  # partial roster: a later run completes it
+            # Copy a row only while its answer is still the object
+            # decoded from it.
+            payloads = {name: hit.payload
+                        for name, hit in entry.served.items()
+                        if entry.answers[name] is hit.answer}
             self.cache.store(
                 key,
                 workload=entry.request.name,
@@ -591,6 +607,7 @@ class BatchScheduler:
                 answers=[entry.answers[name] for name in roster],
                 lineage_key=entry.request.lineage_key(),
                 footprints=entry.footprints,
+                payloads=payloads,
             )
 
     def _answers_for(self, request: AnalysisRequest,

@@ -235,6 +235,25 @@ class TestTieredCache:
         assert b.meta("absent") is None
         b.close()
 
+    def test_exact_hit_reads_its_meta_row_once(self, tmp_path, server,
+                                                monkeypatch):
+        """The meta row an L1 hit read comes back with its answers, so
+        the scheduler reads it once, through the tier as without it."""
+        with DependenceService(_config(tmp_path, server.url)) as service:
+            service.run_batch([_request()])
+        reads = []
+        meta = ResultCache.meta
+
+        def counting(cache, version_key):
+            reads.append(version_key)
+            return meta(cache, version_key)
+
+        monkeypatch.setattr(ResultCache, "meta", counting)
+        with DependenceService(_config(tmp_path, server.url)) as service:
+            batch = service.run_batch([_request()])
+        assert [a.status for a in batch.flat()] == [STATUS_CACHED]
+        assert reads == [_request().version_key()]
+
     def test_invalidate_deletes_remote_bundle(self, tmp_path, server):
         cache = TieredCache(ResultCache(str(tmp_path)),
                             backend_from_url(server.url),

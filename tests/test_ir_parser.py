@@ -1,6 +1,7 @@
 """Tests for the textual IR parser and printer round trip."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ir import (
     ArrayType,
@@ -18,6 +19,11 @@ from repro.ir import (
     pointer_to,
     verify_module,
 )
+from repro.ir.parser import _tokenize
+from repro.workloads import ALL_WORKLOADS
+
+from tests import tokenizer_oracle
+from tests.test_profiler_oracles import _ACCESS, _program, multi_loop_programs
 
 
 SIMPLE = """
@@ -212,3 +218,81 @@ class TestRoundTripWorkloads:
             m2 = parse_module(text)
             verify_module(m2)
             assert format_module(m2) == text, wl.name
+
+
+# -- the tokenizer against its oracle ------------------------------------------
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.line)
+
+
+def _assert_tokenizes_like_oracle(text):
+    """Equal ``(kind, text, line)`` streams, or equal ``ParseError``
+    message and line."""
+    assert (_tokens_or_error(_tokenize, text)
+            == _tokens_or_error(tokenizer_oracle.tokenize, text))
+
+
+class TestTokenizerOracle:
+    @pytest.mark.parametrize("name", [w.name for w in ALL_WORKLOADS])
+    def test_workloads(self, name):
+        [wl] = [w for w in ALL_WORKLOADS if w.name == name]
+        _assert_tokenizes_like_oracle(wl.source)
+        _assert_tokenizes_like_oracle(format_module(wl.build()))
+
+    @given(outer=st.lists(_ACCESS, max_size=5),
+           inner=st.lists(_ACCESS, max_size=4),
+           callee=st.lists(_ACCESS, max_size=3),
+           recursive=st.lists(_ACCESS, max_size=2),
+           outer_trips=st.integers(min_value=1, max_value=6),
+           inner_trips=st.integers(min_value=1, max_value=5),
+           depth=st.integers(min_value=0, max_value=2),
+           second_call=st.booleans(),
+           heap=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_generated_programs(self, outer, inner, callee, recursive,
+                                outer_trips, inner_trips, depth,
+                                second_call, heap):
+        _assert_tokenizes_like_oracle(_program(
+            outer, inner, callee, recursive, outer_trips, inner_trips,
+            depth, second_call, heap))
+
+    @given(text=multi_loop_programs())
+    @settings(max_examples=10, deadline=None)
+    def test_multi_loop_programs(self, text):
+        _assert_tokenizes_like_oracle(text)
+
+    @pytest.mark.parametrize("text", [
+        "\r",
+        "func @f() -> i32 {\r\nentry:\n  ret i32 0\n}\n",
+        "$",
+        "global @x : i32 = 1\n\n  $x\n",
+        "-",
+        "func @f() -> i32 {\nentry:\n  %a = sub i32 -, 1\n",
+        '"unterminated',
+        'global @s : [4 x i8] = "abc\nglobal @t : i32 = 0\n',
+    ])
+    def test_malformed_inputs(self, text):
+        with pytest.raises(ParseError):
+            _tokenize(text)
+        _assert_tokenizes_like_oracle(text)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n\n",
+        "; a comment at EOF with no newline",
+        "func @f() -> void {\nentry:\n  ret\n}   ; trailing comment",
+        "  \t ; comment\n\n  ; another\nglobal @x : i32 = -7 ;x",
+        'global @s : [9 x i8] = "a\\"b\nc"\n',
+    ])
+    def test_edge_inputs(self, text):
+        _assert_tokenizes_like_oracle(text)
+
+    @given(text=st.text(alphabet=" \t\n\r;%@:{}[](),=*->.0129aefix_\"\\$",
+                        max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_random_text(self, text):
+        _assert_tokenizes_like_oracle(text)

@@ -221,8 +221,10 @@ class TestResultCache:
                     modules=system_module_roster("caf"),
                     run=run_of([a.loop for a in answers]),
                     answers=answers)
-        cached = cache.lookup(key)
-        assert cached is not None
+        hit = cache.lookup(key)
+        assert hit is not None
+        meta, cached = hit
+        assert meta == cache.meta(key)
         assert all(a.status == STATUS_CACHED for a in cached)
         assert identities(cached) == identities(answers)
         cache.close()
@@ -348,9 +350,9 @@ class TestResultCache:
         conn.close()
 
         with ResultCache(str(tmp_path)) as cache:
-            cached = cache.lookup(key)
-            assert cached is not None
-            assert identities(cached) == identities([answer])
+            hit = cache.lookup(key)
+            assert hit is not None
+            assert identities(hit[1]) == identities([answer])
             assert cache.meta(key).lineage_key == ""
             assert not cache.has_lineage("")
             assert cache.lookup_footprints(
@@ -393,6 +395,77 @@ class TestResultCache:
         assert cache.lookup_footprints(
             lineage, "t", [answer.loop], {"helper": "h-hash"}, "hdr") == {}
         cache.close()
+
+    @staticmethod
+    def _store_versions(cache, request, answer, versions):
+        """One stored key per ``(stored_at, valid)`` version of one
+        loop, in order; version ``i``'s answer has ``latency_s == i``.
+        A valid version's digest survives the edit ``_EDITED`` makes,
+        an invalid one's does not."""
+        for i, (stored_at, valid) in enumerate(versions):
+            code = "m-hash" if valid else f"old-{i}"
+            digest = loop_footprint_digest(("main",), {"main": code}, "hdr")
+            key = f"k{i}"
+            cache.store(key, workload="t", system="caf", entry="main",
+                        modules=(), run=run_of([answer.loop]),
+                        answers=[replace(answer, latency_s=float(i))],
+                        lineage_key=request.lineage_key(),
+                        footprints={answer.loop: (("main",), digest)})
+            cache._conn.execute(
+                "UPDATE answers SET stored_at = ? WHERE version_key = ?",
+                (stored_at, key))
+        cache._conn.commit()
+
+    _EDITED = ({"main": "m-hash", "helper": "edited"}, "hdr")
+
+    def test_footprint_walk_decodes_one_payload_per_loop(
+            self, tmp_path, monkeypatch):
+        """A lineage holding many re-stored versions of a loop costs
+        one payload decode per loop: the walk goes newest first and
+        stops at the first surviving row."""
+        from repro.service import cache as cache_module
+        decoded = []
+
+        def counting(doc):
+            decoded.append(doc["loop"])
+            return loop_answer_from_dict(doc)
+
+        monkeypatch.setattr(cache_module, "loop_answer_from_dict", counting)
+        request = AnalysisRequest("t", make_source(), system="caf")
+        [answer] = sequential_answers(request)
+        with ResultCache(str(tmp_path)) as cache:
+            self._store_versions(cache, request, answer,
+                                 [(float(i), True) for i in range(6)])
+            hits = cache.lookup_footprints(
+                request.lineage_key(), "t", [answer.loop], *self._EDITED)
+        assert decoded == [answer.loop]
+        assert hits[answer.loop].answer.latency_s == 5.0   # the newest
+
+    @given(versions=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, 2.0]), st.booleans()),
+        min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_footprint_walk_picks_the_freshest_surviving_row(
+            self, versions):
+        """The chosen row is the freshest row whose digest survives, and
+        on equal ``stored_at`` the one stored first (lowest rowid)."""
+        request = AnalysisRequest("t", make_source(), system="caf")
+        answer = fallback_answer("t", "caf", "@main:%loop")
+        survivors = [(-stored_at, i)
+                     for i, (stored_at, valid) in enumerate(versions)
+                     if valid]
+        with tempfile.TemporaryDirectory() as cache_dir, \
+                ResultCache(cache_dir) as cache:
+            self._store_versions(cache, request, answer, versions)
+            hits = cache.lookup_footprints(
+                request.lineage_key(), "t", [answer.loop], *self._EDITED)
+        if not survivors:
+            assert hits == {}
+            return
+        hit = hits[answer.loop]
+        assert hit.answer.latency_s == float(min(survivors)[1])
+        assert hit.answer.status == STATUS_CACHED
+        assert json.loads(hit.payload)["latency_s"] == hit.answer.latency_s
 
     def test_survives_reopen(self, tmp_path):
         request = AnalysisRequest("t", make_source(), system="caf")
@@ -742,6 +815,73 @@ class TestIncremental:
             [key] = cache.keys()
             assert cache.meta(key).run.hot_loops == ()
             assert cache.export_bundle(key)["answers"] == []
+
+    def test_edit_outside_a_loopless_scope_reuses_the_empty_roster(
+            self, tmp_path):
+        """An empty roster carries over an edit outside the executed
+        scope like any other: the edit sends no lead and stores its
+        key's meta row, so the same edit again is an exact-key hit."""
+        edited = NO_HOT_LOOPS_SOURCE + PROBE_FUNC.format(step=1)
+        leads, reuses = [], []
+        for source in (NO_HOT_LOOPS_SOURCE, edited, edited):
+            batch = _run_cached(source, str(tmp_path))
+            assert batch.answers == [[]]
+            leads.append(batch.telemetry.discovery_tasks)
+            reuses.append(batch.telemetry.profile_reuses)
+        assert leads == [1, 0, 0]
+        assert reuses == [0, 1, 0]
+        with ResultCache(str(tmp_path)) as cache:
+            assert len(cache.keys()) == 2
+
+    def test_exact_hit_reads_its_meta_row_once(self, tmp_path,
+                                                monkeypatch):
+        """``lookup`` hands back the meta row it read, so the scheduler
+        does not read it again."""
+        source = make_source()
+        _run_cached(source, str(tmp_path))
+        reads = []
+        meta = ResultCache.meta
+
+        def counting(cache, version_key):
+            reads.append(version_key)
+            return meta(cache, version_key)
+
+        monkeypatch.setattr(ResultCache, "meta", counting)
+        warm = _run_cached(source, str(tmp_path))
+        assert all(a.status == STATUS_CACHED for a in warm.flat())
+        assert reads == [AnalysisRequest("incr", source,
+                                         system="scaf").version_key()]
+
+    def test_restored_rows_copy_their_payload(self, tmp_path,
+                                              monkeypatch):
+        """A revalidated answer is re-stored under the edit's key by
+        copying its row's payload text, which equals the answer encoded
+        again with status ``computed``; only the recomputed loop is
+        encoded."""
+        from repro.service import cache as cache_module
+        for step in (1, 2):
+            _run_cached(TWO_LOOP_SOURCE.format(step=step), str(tmp_path))
+        encoded = []
+
+        def counting(answer):
+            encoded.append(answer.loop)
+            return loop_answer_to_dict(answer)
+
+        monkeypatch.setattr(cache_module, "loop_answer_to_dict", counting)
+        third = _run_cached(TWO_LOOP_SOURCE.format(step=3), str(tmp_path))
+        assert {a.loop: a.status for a in third.flat()} == {
+            "@work1:%loop": STATUS_CACHED, "@work2:%loop": STATUS_COMPUTED}
+        assert encoded == ["@work2:%loop"]
+        with ResultCache(str(tmp_path)) as cache:
+            rows = cache._conn.execute(
+                "SELECT loop_name, payload FROM answers").fetchall()
+        assert len(rows) == 6
+        for _, payload in rows:
+            answer = loop_answer_from_dict(json.loads(payload))
+            assert payload == json.dumps(loop_answer_to_dict(
+                replace(answer, status=STATUS_COMPUTED)), sort_keys=True)
+        work1 = {payload for loop, payload in rows if loop == "@work1:%loop"}
+        assert len(work1) == 1   # three keys, one byte-identical row
 
     def test_stored_digests_recompute_from_the_stored_module(
             self, tmp_path):
