@@ -12,10 +12,11 @@ import time
 
 import pytest
 
-from common import analyze_all, build_system, emit, format_table, geomean
-from repro.clients import PDGClient
+from common import analyze_all, emit, format_table
+from repro.clients import PDGClient, geometric_mean
 from repro.core import OrchestratorConfig
 from repro.query import CFGView, ModRefQuery, TemporalRelation
+from repro.service import build_system
 
 PERCENTILES = (10, 25, 50, 75, 90, 95, 99)
 
@@ -48,7 +49,9 @@ def _measure(results, system_name, config, repeats=3):
     """
     latencies = []
     for wr in results:
-        system = build_system(system_name, wr.prepared, config)
+        p = wr.prepared
+        system = build_system(system_name, p.module, p.context,
+                              p.profiles, config)
         for query in _loop_queries(wr):
             best = float("inf")
             for _ in range(repeats):
@@ -69,7 +72,7 @@ def _percentile(sorted_values, pct):
 def _report(samples):
     rows = []
     for name, lat in samples.items():
-        row = [name, f"{len(lat)}", f"{1e3 * geomean(lat):8.4f}"]
+        row = [name, f"{len(lat)}", f"{1e3 * geometric_mean(lat):8.4f}"]
         row += [f"{1e3 * _percentile(lat, p):8.4f}" for p in PERCENTILES]
         rows.append(row)
     table = format_table(
@@ -79,9 +82,9 @@ def _report(samples):
         title="Figure 10: query latency distribution "
               "(per-query, caches cleared)")
 
-    caf = geomean(samples["caf"])
-    scaf = geomean(samples["scaf"])
-    nodr = geomean(samples["scaf-without-desired-result"])
+    caf = geometric_mean(samples["caf"])
+    scaf = geometric_mean(samples["scaf"])
+    nodr = geometric_mean(samples["scaf-without-desired-result"])
     summary = "\n".join([
         "",
         f"Desired Result parameter reduces SCAF geomean latency by "
@@ -105,9 +108,9 @@ def test_fig10_query_latency(benchmark, all_results):
     samples = benchmark.pedantic(run, rounds=1, iterations=1)
     emit("fig10_latency.txt", _report(samples))
 
-    caf = geomean(samples["caf"])
-    scaf = geomean(samples["scaf"])
-    nodr = geomean(samples["scaf-without-desired-result"])
+    caf = geometric_mean(samples["caf"])
+    scaf = geometric_mean(samples["scaf"])
+    nodr = geometric_mean(samples["scaf-without-desired-result"])
     # The Desired Result parameter must not materially slow SCAF down
     # (in this substrate its benefit is small and partly within noise;
     # see EXPERIMENTS.md).

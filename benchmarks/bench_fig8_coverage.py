@@ -20,8 +20,8 @@ from common import (
     coverage_via_service,
     emit,
     format_table,
-    geomean,
 )
+from repro.clients import geometric_mean
 
 
 def _coverage_table(results):
@@ -43,7 +43,7 @@ def _coverage_table(results):
     geo_row = ["Geomean"]
     for s in SYSTEMS:
         avg_row.append(f"{sum(aggregates[s]) / len(aggregates[s]):6.2f}")
-        geo_row.append(f"{geomean(aggregates[s]):6.2f}")
+        geo_row.append(f"{geometric_mean(aggregates[s]):6.2f}")
     avg_row.append(f"{sum(observed) / len(observed):6.2f}")
     geo_row.append("")
     rows.extend([avg_row, geo_row])
@@ -78,8 +78,8 @@ def _coverage_table(results):
         f"mean +{sum(rel_gain) / len(rel_gain):.2f}%",
         f"Memory-speculation residual shrink: "
         f"mean {sum(shrink) / len(shrink):.2f}% "
-        f"(geomean residual {geomean(scaf_resid):.2f} vs "
-        f"{geomean(conf_resid):.2f} points)",
+        f"(geomean residual {geometric_mean(scaf_resid):.2f} vs "
+        f"{geometric_mean(conf_resid):.2f} points)",
     ])
     return table + summary
 

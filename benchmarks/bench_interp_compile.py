@@ -24,9 +24,10 @@ import json
 import os
 import time
 
-from common import emit, format_table, geomean
+from common import emit, format_table
 
 from repro.analysis import AnalysisContext
+from repro.clients import geometric_mean
 from repro.interp import CompiledInterpreter, Interpreter, compile_module
 from repro.profiling import bundle_facts, run_profilers
 from repro.workloads import ALL_WORKLOADS
@@ -154,8 +155,8 @@ def test_interp_compile_speedup(benchmark):
         lambda: [_measure(w) for w in workloads],
         rounds=1, iterations=1)
 
-    exec_geo = geomean([r["exec_speedup"] for r in rows])
-    bundle_geo = geomean([r["bundle_speedup"] for r in rows])
+    exec_geo = geometric_mean([r["exec_speedup"] for r in rows])
+    bundle_geo = geometric_mean([r["bundle_speedup"] for r in rows])
     emit("interp_compile_smoke.txt" if smoke else "interp_compile.txt",
          _report(rows, exec_geo, bundle_geo, smoke))
 

@@ -13,12 +13,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import (
-    build_caf,
-    build_confluence,
-    build_memory_speculation,
-    build_scaf,
-)
 from repro.clients import (
     HotLoop,
     LoopPDG,
@@ -28,26 +22,12 @@ from repro.clients import (
     weighted_no_dep_answers,
 )
 from repro.core import OrchestratorConfig
-from repro.service import config_fingerprint
+from repro.service import build_system, config_fingerprint
 from repro.workloads import ALL_WORKLOADS, PreparedWorkload, prepare
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 SYSTEMS = ("caf", "confluence", "scaf", "memory-speculation")
-
-
-def build_system(name: str, p: PreparedWorkload,
-                 config: Optional[OrchestratorConfig] = None):
-    if name == "caf":
-        return build_caf(p.module, p.context, p.profiles, config)
-    if name == "confluence":
-        return build_confluence(p.module, p.profiles, p.context, config)
-    if name == "scaf":
-        return build_scaf(p.module, p.profiles, p.context, config)
-    if name == "memory-speculation":
-        return build_memory_speculation(p.module, p.profiles, p.context,
-                                        config)
-    raise ValueError(name)
 
 
 @dataclass
@@ -108,7 +88,8 @@ def analyze_workload(wl, config: Optional[OrchestratorConfig] = None
     hot = hot_loops(p.profiles)
     pdgs: Dict[str, List[LoopPDG]] = {}
     for system_name in SYSTEMS:
-        system = build_system(system_name, p, config)
+        system = build_system(system_name, p.module, p.context,
+                              p.profiles, config)
         client = PDGClient(system)
         pdgs[system_name] = [client.analyze_loop(h.loop) for h in hot]
     result = WorkloadResults(p, hot, pdgs)
@@ -162,15 +143,6 @@ def improved_records(scaf_pdg: LoopPDG, conf_pdg: LoopPDG):
     return [r for r in scaf_pdg.records
             if r.removed and (id(r.src), id(r.dst), r.cross_iteration)
             not in conf]
-
-
-def geomean(values) -> float:
-    import math
-    values = list(values)
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(max(v, 1e-12)) for v in values)
-                    / len(values))
 
 
 def emit(name: str, text: str) -> None:

@@ -200,15 +200,16 @@ class TieredCache:
         return None
 
     def lookup(self, version_key: str, loops: Sequence[str] = ()
-               ) -> Optional[Tuple[CacheEntryMeta, List[LoopAnswer]]]:
-        hit = self.l1.lookup(version_key, loops)
-        if hit is not None:
+               ) -> Optional[Tuple[CacheEntryMeta,
+                                   Optional[List[LoopAnswer]]]]:
+        found = self.l1.lookup(version_key, loops)
+        if found is not None and found[1] is not None:
             self._l1_hits.inc()
-            return hit
+            return found
         self._l1_misses.inc()
         if self._pull_bundle(version_key):
             return self.l1.lookup(version_key, loops)
-        return None
+        return found
 
     def has_lineage(self, lineage_key: str) -> bool:
         if self.l1.has_lineage(lineage_key):

@@ -263,7 +263,7 @@ class AnalysisDaemon:
                        pid=os.getpid(),
                        metrics_addr=self.metrics_addr,
                        workers=self.config.service.workers,
-                       executor=self.config.service.executor)
+                       executor=self.service.scheduler.engine.executor_kind)
         self._ready.set()
         try:
             await self._stopped.wait()
@@ -328,16 +328,17 @@ class AnalysisDaemon:
 
     def _disconnect(self, session: str) -> None:
         """Release everything a vanished client still held: sweep its
-        queued tickets (freeing queue slots for other sessions) and
-        forget its job window."""
+        queued tickets (freeing queue slots for other sessions), forget
+        its job window and its finished jobs.  No one can poll them
+        now; a job still running is forgotten when it finishes."""
         active = self._session_jobs.pop(session, set())
         if active:
             engine = self.service.scheduler.engine
             engine.cancel_client(f"{session}:")
             for job_id in active:
-                job = self._jobs.get(job_id)
-                if job is not None:
-                    job.cancel_requested = True
+                self._jobs[job_id].cancel_requested = True
+        self._jobs = {job_id: job for job_id, job in self._jobs.items()
+                      if job.session != session or job_id in active}
 
     async def _send(self, writer: asyncio.StreamWriter, doc: dict) -> None:
         writer.write(encode_message(doc))
@@ -546,6 +547,8 @@ class AnalysisDaemon:
         active = self._session_jobs.get(job.session)
         if active is not None:
             active.discard(job.id)
+        else:  # the session closed while the job ran
+            del self._jobs[job.id]
         tag = self._tag(job.session)
         latency_s = time.perf_counter() - job.submitted_at
         registry = self.service.telemetry.registry
@@ -637,7 +640,7 @@ class AnalysisDaemon:
                 "jobs_shed": self._sheds.value,
                 "queue_depth": now["queue_depth"],
                 "workers": self.config.service.workers,
-                "executor": self.config.service.executor,
+                "executor": self.service.scheduler.engine.executor_kind,
                 "metrics_addr": self.metrics_addr,
             },
             "telemetry": self.service.snapshot().to_dict(),

@@ -135,6 +135,11 @@ _MIGRATIONS = {
 _LINEAGE_INDEX = ("CREATE INDEX IF NOT EXISTS answers_by_lineage"
                   " ON answers (lineage_key, loop_name)")
 
+#: Serves ``has_lineage`` and ``lookup_profile`` without a scan of
+#: ``meta`` (an incremental probe asks both on every exact-key miss).
+_META_LINEAGE_INDEX = ("CREATE INDEX IF NOT EXISTS meta_by_lineage"
+                       " ON meta (lineage_key, workload)")
+
 _DURATIONS_INDEX = ("CREATE INDEX IF NOT EXISTS durations_by_lineage"
                     " ON durations (lineage_key, loop_name)")
 
@@ -195,6 +200,7 @@ class ResultCache:
             self._conn.executescript(_SCHEMA)
             self._migrate()
             self._conn.execute(_LINEAGE_INDEX)
+            self._conn.execute(_META_LINEAGE_INDEX)
             self._conn.execute(_DURATIONS_INDEX)
             try:
                 self._conn.execute("PRAGMA journal_mode=WAL")
@@ -297,14 +303,17 @@ class ResultCache:
         return self._meta_from_row(row)
 
     def lookup(self, version_key: str, loops: Sequence[str] = ()
-               ) -> Optional[Tuple[CacheEntryMeta, List[LoopAnswer]]]:
-        """A key's meta row and cached answers, or ``None`` on a miss.
+               ) -> Optional[Tuple[CacheEntryMeta,
+                                   Optional[List[LoopAnswer]]]]:
+        """A key's meta row and cached answers: ``None`` when the key
+        has no meta row, ``(meta, None)`` when it has one but misses.
 
         A hit requires the meta row *and* an answer row for every
         requested loop (every hot loop when ``loops`` is empty) — a
         partially-populated key counts as a miss so callers recompute
-        rather than serve holes.  The meta row comes back with the
-        answers, so a hit reads it once.
+        rather than serve holes.  The meta row comes back on a hit and
+        on a miss that read one, so the caller reads it once either
+        way (a miss still names the key's training run).
         """
         meta = self.meta(version_key)
         if meta is None:
@@ -314,7 +323,7 @@ class ResultCache:
             "SELECT loop_name, payload FROM answers"
             " WHERE version_key = ?", (version_key,)).fetchall()))
         if any(name not in rows for name in wanted):
-            return None
+            return meta, None
         answers = []
         for name in wanted:
             doc = json.loads(rows[name])

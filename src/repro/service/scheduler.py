@@ -118,6 +118,10 @@ class _KeyWork:
     #: provenance); ``None`` means the roster is unknown and a lead
     #: task must profile the module.
     run: Optional[TrainingRun] = None
+    #: The training run of the key's own meta row, read by an
+    #: exact-key lookup that missed on answer rows; it names the
+    #: roster when the incremental probe proves none.
+    stored_run: Optional[TrainingRun] = None
     answers: Dict[str, LoopAnswer] = field(default_factory=dict)
     degraded: bool = False
     #: Loop name -> (footprint, its digest in this key's module), from
@@ -156,7 +160,6 @@ class BatchScheduler:
                  loop_runner: Callable[[LoopTask], LoopTaskResult]
                  = run_loop_task):
         self.workers = max(0, workers)
-        self.executor_kind = executor
         self.cache = cache
         self.telemetry = telemetry or ServiceTelemetry(max(1, self.workers))
         # `is None` check, not an `or`-default: an explicit 0 must be
@@ -172,7 +175,7 @@ class BatchScheduler:
         #: next (and, through the daemon, from one client session to
         #: the next).
         self.engine = WorkEngine(
-            executor_kind=self.executor_kind,
+            executor_kind=executor,
             workers=self.workers,
             telemetry=self.telemetry,
             loop_runner=loop_runner,
@@ -251,9 +254,9 @@ class BatchScheduler:
             if self.cache is None:
                 pending.append(key)
                 continue
-            hit = self.cache.lookup(key, entry.loops)
-            if hit is not None:
-                meta, cached = hit
+            meta, cached = (self.cache.lookup(key, entry.loops)
+                            or (None, None))
+            if cached is not None:
                 self.telemetry.count("cache_hits")
                 self.telemetry.count("loops_from_cache", len(cached))
                 tracer.event("cache_hit", workload=entry.request.name,
@@ -261,6 +264,8 @@ class BatchScheduler:
                 entry.run = meta.run
                 entry.answers = {a.loop: a for a in cached}
                 continue
+            if meta is not None:
+                entry.stored_run = meta.run
             if self._probe_incremental(entry):
                 self.telemetry.count("cache_hits")
                 tracer.event("incremental_hit",
@@ -396,17 +401,14 @@ class BatchScheduler:
 
     # -- stage 3: the global loop-granular work queue ------------------------
 
-    def _known_loops(self, key: str, entry: _KeyWork
-                     ) -> Optional[Tuple[str, ...]]:
+    def _known_loops(self, entry: _KeyWork) -> Optional[Tuple[str, ...]]:
         """The loops this key must run, when knowable without a
         worker: the dirty hot loops of a training run from the
-        incremental probe or a prior meta row, or an explicit loop
-        subset while no revalidated answer waits for a roster.
+        incremental probe or the key's own meta row, or an explicit
+        loop subset while no revalidated answer waits for a roster.
         ``None`` sends a lead."""
-        if entry.run is None and self.cache is not None:
-            meta = self.cache.meta(key)
-            if meta is not None:
-                entry.run = meta.run
+        if entry.run is None:
+            entry.run = entry.stored_run
         if entry.run is not None:
             return self._serve_clean(entry)
         if entry.loops and not entry.clean:
@@ -453,7 +455,7 @@ class BatchScheduler:
             tickets: List[Ticket] = []
             for key in keys:
                 entry = work[key]
-                loops = self._known_loops(key, entry)
+                loops = self._known_loops(entry)
                 if loops is None:
                     entry.outstanding = 1
                     tickets.append(self._loop_ticket(batch, key, None))

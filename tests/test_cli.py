@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -143,3 +145,39 @@ entry:
 """)
         assert main(["analyze", str(trivial)]) == 1
         assert "no hot loops" in capsys.readouterr().out
+
+
+class TestOnePathPerCommand:
+    """``analyze`` is the in-process view of one file, and ``batch``
+    always runs its own pool (``--workers 0``: in this process)."""
+
+    def test_analyze_and_batch_give_equal_loops(self, program, capsys):
+        assert main(["analyze", program, "--json"]) == 0
+        analyzed = json.loads(capsys.readouterr().out)["loops"]
+        assert main(["batch", program, "--workers", "0", "--json"]) == 0
+        batched = json.loads(capsys.readouterr().out)["loops"]
+        # analyze names the workload by the path it was given, batch by
+        # the file's basename.
+        for loop in analyzed + batched:
+            del loop["latency_s"], loop["workload"]
+        assert analyzed and analyzed == batched
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{program}", "--workers", "2"],
+        ["analyze", "{program}", "--cache-dir", "cache"],
+        ["batch", "{program}", "--daemon", "unix:/nonexistent.sock"],
+        ["batch", "{program}", "--executor", "inline"],
+    ])
+    def test_detour_options_are_gone(self, argv, program, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(program=program) for arg in argv])
+        assert excinfo.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_batch_ignores_repro_daemon(self, program, capsys,
+                                        monkeypatch):
+        monkeypatch.setenv("REPRO_DAEMON", "unix:/nonexistent.sock")
+        assert main(["batch", program, "--workers", "0"]) == 0
+        captured = capsys.readouterr()
+        assert "@main:%loop [scaf]: %NoDep" in captured.out
+        assert captured.err == ""
